@@ -32,6 +32,7 @@ from .data import (
     generate_synthetic,
     load_artifact,
     load_dataset,
+    read_utf8,
     save_artifact,
     save_dataset,
 )
@@ -251,10 +252,10 @@ def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
 def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormalize,
              beta, tau, mu, terms, k_points, tmax, tmin, alpha, lam, max_accepted, seed):
     """Learn per-class correction weights on a labeled optimization set."""
-    dataset = _load(optimization_path, fmt, renormalize)
     scale = WeightScale(k_points)
     config = _config(terms, beta, tau, mu)
     schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
+    dataset = _load(optimization_path, fmt, renormalize)
 
     before = class_report(dataset)
     click.echo(
@@ -321,9 +322,9 @@ def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
         raise ValidationError("optimization and test sets disagree on the class count")
     scale = WeightScale(k_points)
     schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
+    configs = {key: _config(key, beta, tau, mu) for key in TERM_COMBINATIONS}
     rows = []
-    for key in TERM_COMBINATIONS:
-        config = ObjectiveConfig.with_terms(key, beta=beta, tau=tau, mu=mu)
+    for key, config in configs.items():
         result = anneal(opt_set, scale, config, schedule)
         report = class_report(test_set, result.selection, scale)
         rows.append(
@@ -537,7 +538,7 @@ def compare(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms
 def generate(spec_path, out_path, fmt):
     """Generate a synthetic biased dataset from a spec file."""
     try:
-        doc = json.loads(Path(spec_path).read_text())
+        doc = json.loads(read_utf8(spec_path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"spec file is not valid JSON: {exc.msg}")
     spec = SyntheticSpec.from_dict(doc)

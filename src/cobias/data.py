@@ -269,6 +269,18 @@ def _parse_jsonl(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
     return rows, labels
 
 
+def read_utf8(path, error: type[ValidationError] = ValidationError) -> str:
+    """Read a text file, raising ``error`` instead of UnicodeDecodeError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start)
+        raise error(
+            f"{path} is not valid UTF-8 text (byte {exc.start}, line {line})"
+        ) from None
+
+
 def _parse_number(token: str, lineno: int, what: str) -> float:
     try:
         return float(token)
@@ -294,7 +306,7 @@ def _parse_csv(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
             )
         probs = [_parse_number(tok, lineno, "probability") for tok in record[:-1]]
         raw_label = _parse_number(record[-1], lineno, "label")
-        if raw_label != int(raw_label):
+        if not raw_label.is_integer():  # also rejects nan and inf
             raise DatasetFormatError(f"label {record[-1]!r} is not an integer", line=lineno)
         rows.append(probs)
         labels.append(int(raw_label))
@@ -311,8 +323,7 @@ def load_dataset(path, fmt: str, renormalize: bool = False) -> ProbabilityDatase
     """
     if fmt not in DATASET_FORMATS:
         raise ValidationError(f"unknown dataset format {fmt!r}, expected one of {DATASET_FORMATS}")
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_utf8(path, DatasetFormatError).splitlines()
     rows, labels = _parse_jsonl(lines) if fmt == "jsonl" else _parse_csv(lines)
     if not rows:
         raise DatasetFormatError(f"no samples found in {path}")
@@ -407,7 +418,7 @@ def load_artifact(path) -> ReweightArtifact:
     from .objective import ObjectiveConfig
 
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_utf8(path, ArtifactError))
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"artifact file is not valid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != "reweight_artifact":

@@ -72,6 +72,9 @@ class ObjectiveConfig:
             raise ValidationError("beta, tau, and mu must be nonnegative")
         if not (self.use_z1 or self.use_z2 or self.use_z3):
             raise ValidationError("at least one objective term must be enabled")
+        if self.use_z3 and self.mu == 0:
+            # an unsmoothed PMI is undefined as soon as a move empties a count
+            raise ValidationError("mu must be positive when the PMI term z3 is enabled")
 
     @classmethod
     def with_terms(cls, terms: str, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU,
@@ -151,12 +154,24 @@ def evaluate(
 class IncrementalEvaluator:
     """Cached evaluation state for single-class weight changes.
 
-    Caches the weighted score matrix, current argmax predictions, row maxima,
-    and confusion counts. A proposal that changes one class's weight only
-    re-scores that column and re-runs the argmax on rows whose prediction can
-    actually flip: rows currently predicting the changed class, plus rows
-    where the new column value reaches their current maximum. Results are
-    bit-identical to a full evaluation.
+    The cache holds a contiguous class-major copy of the probabilities
+    (``probs.T``, shape N x M), the current scale indices, each row's argmax
+    prediction and maximum weighted score, and the confusion counts. A move
+    changes one class c's weight, and only rows whose prediction can change
+    are touched:
+
+    * weight up: rows predicting c keep c (only their maximum grows). Any
+      other row switches to c exactly when the new score ``p[c] * w`` beats
+      its maximum, or equals it and c has the lower index, which is argmax's
+      first-index tie rule. No argmax is run.
+    * weight down: only rows predicting c can change; those rows alone are
+      re-argmaxed, reducing ``probs_t[j, rows] * w[j]`` one class at a time.
+      A no-op move takes this path and reproduces the cached rows.
+
+    Every score is the same product ``p[i, j] * w[j]`` a full evaluation
+    computes, and the confusion counts move by a bincount difference over
+    the rows whose prediction changed, so results are bit-identical to a
+    full evaluation.
 
     A single solver run owns the cache; ``propose`` is side-effect free and
     ``apply`` commits a move.
@@ -174,15 +189,12 @@ class IncrementalEvaluator:
         self.scale = scale
         self.config = config
         self._fingerprint = dataset.fingerprint()
+        n = dataset.num_classes
         self._indices = np.asarray(selection.indices, dtype=np.int64)
-        self._scores = dataset.probs * scale.values[self._indices - 1]
-        self._preds = np.argmax(self._scores, axis=1)
-        self._row_max = np.take_along_axis(
-            self._scores, self._preds[:, None], axis=1
-        )[:, 0]
-        self._counts = counts_from_predictions(
-            dataset.labels, self._preds, dataset.num_classes
-        )
+        self._probs_t = np.ascontiguousarray(dataset.probs.T)
+        self._label_base = dataset.labels * n
+        self._preds, self._row_max = self._argmax(scale.values[self._indices - 1])
+        self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._value = objective_from_counts(self._counts, config)
         self._pending = None
 
@@ -207,30 +219,52 @@ class IncrementalEvaluator:
                 f"scale index {new_index} outside [1, {self.scale.k_points}]"
             )
 
+    def _argmax(self, weights: np.ndarray, rows: np.ndarray | None = None):
+        """Argmax and maximum of ``probs[rows] * weights`` along each row.
+
+        Reduces one class at a time over the class-major copy, so no
+        rows x N score block is built; the strict ">" keeps the lowest index
+        on ties, as ``np.argmax`` does.
+        """
+        probs_t = self._probs_t if rows is None else np.take(self._probs_t, rows, axis=1)
+        preds = np.zeros(probs_t.shape[1], dtype=np.int64)
+        best = probs_t[0] * weights[0]
+        for j in range(1, weights.size):
+            col = probs_t[j] * weights[j]
+            preds[col > best] = j
+            np.maximum(best, col, out=best)
+        return preds, best
+
     def propose(self, class_index: int, new_index: int) -> ObjectiveValue:
         """Objective value with one class's weight changed; state untouched."""
         self._check_move(class_index, new_index)
         c = class_index
-        if new_index == self._indices[c]:
-            self._pending = (c, new_index, None, None, None, self._value)
-            return self._value
-        new_col = self.dataset.probs[:, c] * self.scale.values[new_index - 1]
-        moved = np.flatnonzero((self._preds == c) | (new_col >= self._row_max))
-        if moved.size:
-            block = self._scores[moved]  # fancy indexing copies
-            block[:, c] = new_col[moved]
-            new_preds = np.argmax(block, axis=1)
-            counts = self._counts.copy()
-            labels = self.dataset.labels[moved]
-            np.subtract.at(counts, (labels, self._preds[moved]), 1)
-            np.add.at(counts, (labels, new_preds), 1)
-            new_max = np.take_along_axis(block, new_preds[:, None], axis=1)[:, 0]
+        weights = self.scale.values[self._indices - 1]  # fancy indexing copies
+        weights[c] = self.scale.values[new_index - 1]
+        if new_index > self._indices[c]:
+            new_col = self._probs_t[c] * weights[c]
+            cand = np.flatnonzero(new_col >= self._row_max)
+            old = self._preds[cand]
+            stay = old == c
+            flip = ~stay & ((new_col[cand] > self._row_max[cand]) | (c < old))
+            rows = cand[stay | flip]
+            new_preds = c
+            new_max = new_col[rows]
+            changed, old, new = cand[flip], old[flip], c
         else:
-            new_preds = None
-            new_max = None
-            counts = self._counts
-        value = objective_from_counts(counts, self.config)
-        self._pending = (c, new_index, new_col, (moved, new_preds, new_max), counts, value)
+            rows = np.flatnonzero(self._preds == c)
+            new_preds, new_max = self._argmax(weights, rows)
+            flip = new_preds != c
+            changed, old, new = rows[flip], c, new_preds[flip]
+        if changed.size:
+            nn = self.dataset.num_classes ** 2
+            base = self._label_base[changed]
+            delta = np.bincount(base + new, minlength=nn) - np.bincount(base + old, minlength=nn)
+            counts = self._counts + delta.reshape(self._counts.shape)
+            value = objective_from_counts(counts, self.config)
+        else:
+            counts, value = self._counts, self._value
+        self._pending = (c, new_index, rows, new_preds, new_max, counts, value)
         return value
 
     def apply(self, class_index: int, new_index: int) -> ObjectiveValue:
@@ -239,16 +273,11 @@ class IncrementalEvaluator:
         if pending is None or pending[0] != class_index or pending[1] != new_index:
             self.propose(class_index, new_index)
             pending = self._pending
-        c, idx, new_col, move, counts, value = pending
+        c, idx, rows, new_preds, new_max, counts, value = pending
         self._pending = None
         self._indices[c] = idx
-        if new_col is None:  # no-op move
-            return self._value
-        self._scores[:, c] = new_col
-        moved, new_preds, new_max = move
-        if moved.size:
-            self._preds[moved] = new_preds
-            self._row_max[moved] = new_max
+        self._preds[rows] = new_preds
+        self._row_max[rows] = new_max
         self._counts = counts
         self._value = value
         return value

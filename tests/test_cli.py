@@ -60,6 +60,25 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", str(path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_nonfinite_csv_label_is_one_error_line(self, runner, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.5,0.5,0\n0.5,0.5,{label}\n")
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            f"error: line 1: label '{label}' is not an integer"
+        ]
+
+    def test_non_utf8_dataset_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"probs":[0.5,0.5],"label":0}\n\xff\n')
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "not valid UTF-8" in lines[0] and "line 1" in lines[0]
+
     def test_unknown_extension_needs_format_flag(self, runner, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text('{"probs":[0.5,0.5],"label":0}\n')
@@ -115,6 +134,37 @@ class TestOptimizeAndApply:
         assert ev.exit_code == 0 and ap.exit_code == 0
         assert ev.stdout == ap.stdout
         assert ev_json.read_bytes() == ap_json.read_bytes()
+
+    def test_non_utf8_artifact_is_one_error_line(self, runner, small_sets, tmp_path):
+        opt, _ = small_sets
+        artifact = tmp_path / "a.json"
+        artifact.write_bytes(b'{"kind": "\xff"}\n')
+        result = runner.invoke(main, ["apply", opt, str(artifact)])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "not valid UTF-8" in lines[0]
+
+    def test_mu_zero_with_pmi_term_rejected_before_any_work(self, runner, tmp_path):
+        opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
+        out = tmp_path / "a.json"
+        result = runner.invoke(main, ["optimize", opt, "--mu", "0", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: mu must be positive when the PMI term z3 is enabled"
+        ]
+        assert not out.exists()
+
+    def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):
+        opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
+        out = tmp_path / "a.json"
+        result = runner.invoke(
+            main, ["optimize", opt, "--terms", "z1+z2", "--mu", "0", "--k", "4",
+                   "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["objective_config"]["mu"] == 0.0
 
     def test_apply_rejects_class_count_mismatch(self, runner, small_sets, tmp_path):
         opt, _ = small_sets

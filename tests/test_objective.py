@@ -11,6 +11,7 @@ from cobias import (
     evaluate,
     evaluate_incremental,
 )
+from cobias.metrics import confusion
 from cobias.objective import TERM_COMBINATIONS
 
 from helpers import random_dataset
@@ -85,6 +86,11 @@ class TestEvaluate:
     def test_at_least_one_term_required(self):
         with pytest.raises(ValidationError):
             ObjectiveConfig(use_z1=False, use_z2=False, use_z3=False)
+
+    def test_unsmoothed_pmi_term_rejected(self):
+        with pytest.raises(ValidationError, match="mu must be positive"):
+            ObjectiveConfig(mu=0.0)
+        assert ObjectiveConfig.with_terms("z1+z2", mu=0.0).mu == 0.0
 
     def test_term_combination_names(self):
         assert set(TERM_COMBINATIONS) == {
@@ -173,3 +179,32 @@ class TestIncrementalEvaluator:
             state.propose(2, 1)
         with pytest.raises(ValidationError):
             state.propose(0, 5)
+
+    def test_exact_walk_with_ties_and_zeros(self):
+        # Multiples of 1/8 (with exact zeros) times weights k/4 are exact
+        # binary fractions, so many products tie exactly, e.g. 1/2 * 1/2 ==
+        # 1/4 * 1; the incremental path must reproduce argmax's lowest-index
+        # tie rule on every one of them, in both move directions.
+        rng = np.random.default_rng(31)
+        n = 4
+        probs = rng.multinomial(8, np.full(n, 1 / n), size=96) / 8
+        assert (probs == 0).any()
+        ds = ProbabilityDataset.from_arrays(probs, rng.integers(n, size=96))
+        scale = WeightScale(4)
+        cfg = ObjectiveConfig()
+        state = IncrementalEvaluator(ds, scale, cfg, WeightSelection.identity(n, scale))
+        indices = [4] * n
+        for step in range(600):
+            c = int(rng.integers(n))
+            idx = int(rng.integers(1, 5))
+            kind = step % 3
+            if kind == 0:  # propose, then commit that move
+                state.propose(c, idx)
+            elif kind == 1:  # propose one move, then commit another
+                state.propose(c, int(rng.integers(1, 5)))
+            state.apply(c, idx)  # kind 2: commit without a prior propose
+            indices[c] = idx
+            sel = WeightSelection(tuple(indices))
+            expected = confusion(ds, sel, scale).counts
+            assert (state._counts == expected).all()
+            assert state.value.total == evaluate(ds, sel, scale, cfg).total
