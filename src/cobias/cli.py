@@ -32,7 +32,7 @@ from .data import (
     generate_synthetic,
     load_artifact,
     load_dataset,
-    read_utf8,
+    read_json,
     save_artifact,
     save_dataset,
 )
@@ -50,18 +50,34 @@ DEFAULT_K = 30
 
 
 def _handle_errors(func):
+    """Map errors to exit codes and echo warnings as ``warning:`` lines.
+
+    Warnings raised during the command are collected and echoed once per
+    distinct message after it finishes; an error ends the command with one
+    ``error:`` line instead.
+    """
+
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
-            return func(*args, **kwargs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = func(*args, **kwargs)
         except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(2)
+        _echo_warnings(caught)
+        return result
 
     return wrapper
+
+
+def _echo_warnings(caught) -> None:
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        click.echo(f"warning: {message}", err=True)
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -77,11 +93,6 @@ def _infer_format(path: str, fmt: str | None) -> str:
 
 def _load(path: str, fmt: str | None, renormalize: bool) -> ProbabilityDataset:
     return load_dataset(path, _infer_format(path, fmt), renormalize)
-
-
-def _echo_warnings(caught) -> None:
-    for w in caught:
-        click.echo(f"warning: {w.message}", err=True)
 
 
 _dataset_options = [
@@ -206,10 +217,7 @@ def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
         artifact = load_artifact(artifact_path)
         _check_artifact(artifact, dataset)
         selection, scale = artifact.selection, artifact.scale
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        doc = report_document(dataset, selection, scale, mu=mu)
-    _echo_warnings(caught)
+    doc = report_document(dataset, selection, scale, mu=mu)
     _print_report(doc)
     _write_json(doc, json_path)
 
@@ -228,10 +236,7 @@ def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     dataset = _load(dataset_path, fmt, renormalize)
     artifact = load_artifact(artifact_path)
     _check_artifact(artifact, dataset)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        doc = report_document(dataset, artifact.selection, artifact.scale, mu=mu)
-    _echo_warnings(caught)
+    doc = report_document(dataset, artifact.selection, artifact.scale, mu=mu)
     _print_report(doc)
     _write_json(doc, json_path)
 
@@ -425,10 +430,7 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
     for size in size_list:
         accs, cbs = [], []
         for s in seed_list:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                subset = _stratified_subsample(opt_set, size, np.random.default_rng(s))
-            _echo_warnings(caught)
+            subset = _stratified_subsample(opt_set, size, np.random.default_rng(s))
             schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, s)
             result = anneal(subset, scale, config, schedule)
             report = class_report(test_set, result.selection, scale)
@@ -537,11 +539,7 @@ def compare(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms
 @_handle_errors
 def generate(spec_path, out_path, fmt):
     """Generate a synthetic biased dataset from a spec file."""
-    try:
-        doc = json.loads(read_utf8(spec_path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"spec file is not valid JSON: {exc.msg}")
-    spec = SyntheticSpec.from_dict(doc)
+    spec = SyntheticSpec.from_dict(read_json(spec_path, "spec file"))
     dataset = generate_synthetic(spec)
     save_dataset(dataset, out_path, _infer_format(out_path, fmt))
     click.echo(f"{dataset.num_samples} samples written to {out_path}")

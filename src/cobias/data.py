@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -58,7 +57,6 @@ class ProbabilityDataset:
     def from_arrays(cls, probs, labels, renormalize: bool = False) -> "ProbabilityDataset":
         # copy=True keeps the dataset detached from caller-owned buffers
         probs = np.array(probs, dtype=np.float64, copy=True)
-        labels = np.array(labels, dtype=np.int64, copy=True)
         if probs.ndim != 2:
             raise ValidationError(f"probs must be 2-dimensional, got shape {probs.shape}")
         m, n = probs.shape
@@ -66,21 +64,30 @@ class ProbabilityDataset:
             raise ValidationError("dataset must contain at least one sample")
         if n < 2:
             raise ValidationError(f"dataset must have at least 2 classes, got {n}")
+        try:
+            labels = np.array(labels, dtype=np.int64, copy=True)
+        except OverflowError:
+            # only numbers beyond int64 overflow; this scan runs on the error path alone
+            bad = next(i for i, v in enumerate(labels) if not -(2**63) <= v < 2**63)
+            raise ValidationError(
+                f"sample {bad}: label beyond the 64-bit integer range", sample=bad
+            ) from None
         if labels.shape != (m,):
             raise ValidationError(
                 f"labels shape {labels.shape} does not match {m} samples"
             )
         if not np.all(np.isfinite(probs)):
             bad = int(np.flatnonzero(~np.isfinite(probs).all(axis=1))[0])
-            raise ValidationError(f"non-finite probability in sample {bad}")
+            raise ValidationError(f"non-finite probability in sample {bad}", sample=bad)
         if np.any(probs < 0):
             bad = int(np.flatnonzero((probs < 0).any(axis=1))[0])
-            raise ValidationError(f"negative probability in sample {bad}")
+            raise ValidationError(f"negative probability in sample {bad}", sample=bad)
         if renormalize:
             sums = probs.sum(axis=1)
             zero = np.flatnonzero(sums == 0.0)
             if zero.size:
-                raise ValidationError(f"zero-sum probability row in sample {int(zero[0])}")
+                bad = int(zero[0])
+                raise ValidationError(f"zero-sum probability row in sample {bad}", sample=bad)
             probs = probs / sums[:, None]
         sums = probs.sum(axis=1)
         off = np.abs(sums - 1.0)
@@ -88,12 +95,13 @@ class ProbabilityDataset:
             bad = int(np.argmax(off))
             raise ValidationError(
                 f"sample {bad}: probabilities sum to {sums[bad]:.8f}, expected 1 "
-                f"within {PROB_SUM_TOL} (pass renormalize=True to rescale rows)"
+                f"within {PROB_SUM_TOL} (pass renormalize=True to rescale rows)",
+                sample=bad,
             )
         if np.any((labels < 0) | (labels >= n)):
             bad = int(np.flatnonzero((labels < 0) | (labels >= n))[0])
             raise ValidationError(
-                f"sample {bad}: label {int(labels[bad])} outside [0, {n - 1}]"
+                f"sample {bad}: label {int(labels[bad])} outside [0, {n - 1}]", sample=bad
             )
         return cls(probs=readonly_array(probs), labels=readonly_array(labels))
 
@@ -152,7 +160,8 @@ class WeightSelection:
                 )
 
     def coefficients(self, scale: WeightScale) -> np.ndarray:
-        return scale.values[np.asarray(self.indices, dtype=np.int64) - 1]
+        # the same doubles as scale.values[indices - 1], without building all K
+        return np.asarray(self.indices, dtype=np.float64) / scale.k_points
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,8 @@ def _parse_jsonl(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+        except ValueError as exc:  # an integer literal above sys.get_int_max_str_digits()
+            raise DatasetFormatError(f"invalid number ({exc})", line=lineno) from None
         if not isinstance(obj, dict) or "probs" not in obj or "label" not in obj:
             raise DatasetFormatError('expected object with "probs" and "label"', line=lineno)
         probs = obj["probs"]
@@ -264,7 +275,10 @@ def _parse_jsonl(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
         label = obj["label"]
         if isinstance(label, bool) or not isinstance(label, int):
             raise DatasetFormatError('"label" must be an integer', line=lineno)
-        rows.append([float(p) for p in probs])
+        try:
+            rows.append([float(p) for p in probs])
+        except OverflowError:
+            raise DatasetFormatError("probability too large for a float", line=lineno) from None
         labels.append(label)
     return rows, labels
 
@@ -279,6 +293,16 @@ def read_utf8(path, error: type[ValidationError] = ValidationError) -> str:
         raise error(
             f"{path} is not valid UTF-8 text (byte {exc.start}, line {line})"
         ) from None
+
+
+def read_json(path, what: str, error: type[ValidationError] = ValidationError):
+    """Parse a UTF-8 JSON file, raising ``error`` for any malformed content."""
+    try:
+        return json.loads(read_utf8(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal above sys.get_int_max_str_digits()
+        raise error(f"{what} has an invalid number: {exc}") from None
 
 
 def _parse_number(token: str, lineno: int, what: str) -> float:
@@ -331,9 +355,7 @@ def load_dataset(path, fmt: str, renormalize: bool = False) -> ProbabilityDatase
         return ProbabilityDataset.from_arrays(rows, labels, renormalize=renormalize)
     except ValidationError as exc:
         # sample index == 0-based line index (parsers reject blank lines)
-        found = re.search(r"sample (\d+)", str(exc))
-        line = int(found.group(1)) if found else None
-        raise DatasetFormatError(str(exc), line=line) from exc
+        raise DatasetFormatError(str(exc), line=exc.sample) from exc
 
 
 def save_dataset(dataset: ProbabilityDataset, path, fmt: str) -> None:
@@ -417,10 +439,7 @@ def load_artifact(path) -> ReweightArtifact:
     """Load an artifact, rejecting version or schema violations outright."""
     from .objective import ObjectiveConfig
 
-    try:
-        doc = json.loads(read_utf8(path, ArtifactError))
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"artifact file is not valid JSON: {exc.msg}") from exc
+    doc = read_json(path, "artifact file", ArtifactError)
     if not isinstance(doc, dict) or doc.get("kind") != "reweight_artifact":
         raise ArtifactError("not a reweight-artifact document")
     version = doc.get("schema_version")

@@ -2,7 +2,14 @@
 
 
 class ValidationError(ValueError):
-    """Input data or configuration violates a documented contract."""
+    """Input data or configuration violates a documented contract.
+
+    ``sample`` is the 0-based index of the offending dataset sample, if any.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
 
 
 class DatasetFormatError(ValidationError):

@@ -127,6 +127,36 @@ def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
     return accuracy_from_counts(cm.counts)
 
 
+def _gap_weights(defined: int, total: int) -> tuple[np.ndarray, float] | None:
+    """Weights and pair count of the pairwise gap over ``defined`` of ``total``
+    classes, or None (gap 0) below two; warns about the excluded classes.
+
+    For sorted a: sum_{i<j} (a_j - a_i) = sum_k a_k * (2k - n + 1).
+    """
+    if defined < total:
+        warnings.warn(
+            "classes without true samples excluded from the pairwise accuracy gap",
+            stacklevel=3,
+        )
+    if defined < 2:
+        warnings.warn("fewer than 2 classes with defined accuracy; gap is 0", stacklevel=3)
+        return None
+    return 2.0 * np.arange(defined) - (defined - 1), defined * (defined - 1) / 2
+
+
+def _pairwise_gap(acc: np.ndarray, weights: np.ndarray, pairs: float) -> float:
+    """Mean absolute pairwise difference of ``acc`` (no NaN entries).
+
+    Sorting makes the result exactly permutation invariant; anchoring at the
+    minimum makes equal inputs yield exactly 0.
+    """
+    a = np.sort(acc)
+    if a[0] == a[-1]:
+        return 0.0
+    a = a - a[0]
+    return float((a * weights).sum() / pairs)
+
+
 def cobias(per_class) -> float:
     """Mean absolute pairwise accuracy difference.
 
@@ -137,24 +167,8 @@ def cobias(per_class) -> float:
     if vals.ndim != 1 or vals.size < 2:
         raise ValidationError("need accuracies for at least 2 classes")
     defined = vals[~np.isnan(vals)]
-    if defined.size < vals.size:
-        warnings.warn(
-            "classes without true samples excluded from the pairwise accuracy gap",
-            stacklevel=2,
-        )
-    n = defined.size
-    if n < 2:
-        warnings.warn("fewer than 2 classes with defined accuracy; gap is 0", stacklevel=2)
-        return 0.0
-    # For sorted a: sum_{i<j} (a_j - a_i) = sum_k a_k * (2k - n + 1). Sorting
-    # makes the result exactly permutation invariant; anchoring at the minimum
-    # makes equal inputs yield exactly 0.
-    a = np.sort(defined)
-    if a[0] == a[-1]:
-        return 0.0
-    a = a - a[0]
-    weights = 2.0 * np.arange(n) - (n - 1)
-    return float((a * weights).sum() / (n * (n - 1) / 2))
+    gap = _gap_weights(defined.size, vals.size)
+    return 0.0 if gap is None else _pairwise_gap(defined, *gap)
 
 
 def odd_classes(cm: ConfusionMatrix) -> tuple[int | None, ...]:
@@ -221,12 +235,18 @@ def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
                 raise ValidationError(
                     f"class {j}: zero count with mu=0 makes the PMI ratio undefined"
                 )
-    # f(joint)/(f(pred)*f(true)) with f = (c + mu)/(M + mu*N) rearranges to
-    # (joint + mu)(M + mu*N) / ((pred + mu)(true + mu)); at mu=0 this is a
-    # ratio of exact integer products, so exact independence gives exactly 0.
-    denom = m + mu * n
-    ratio = (joint + mu) * denom / ((pred + mu) * (true + mu))
-    return np.log(ratio)
+    return _pmi(joint, pred, true + mu, m + mu * n, mu)
+
+
+def _pmi(joint, pred, true_mu: np.ndarray, denom: float, mu: float) -> np.ndarray:
+    """Smoothed PMI from the diagonal, the prediction totals, the smoothed
+    true-class totals ``true + mu`` and ``denom = M + mu * N``.
+
+    f(joint)/(f(pred)*f(true)) with f = (c + mu)/(M + mu*N) rearranges to
+    (joint + mu)(M + mu*N) / ((pred + mu)(true + mu)); at mu=0 this is a
+    ratio of exact integer products, so exact independence gives exactly 0.
+    """
+    return np.log((joint + mu) * denom / ((pred + mu) * true_mu))
 
 
 @dataclass(frozen=True, eq=False)

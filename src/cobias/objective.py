@@ -9,9 +9,13 @@ the reweighted argmax predictions on the optimization set:
 
     total = [z1 on]*z1 + [z2 on]*beta*z2 - [z3 on]*tau*z3
 
-All three terms are pure functions of the integer confusion counts, so the
-full and incremental evaluators share one counts-to-value code path and agree
-bit-for-bit.
+All three terms are pure functions of the integer confusion counts. A
+reweighting moves samples between predicted classes but never changes the
+true-class totals M_i, so everything built from the totals and the config
+alone is computed once per dataset by ``_Objective``, which also issues the
+"classes without true samples" warning once. The full and incremental
+evaluators share that counts-to-value core, whose arithmetic is the metrics
+module's, and agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
-from .metrics import (
-    DEFAULT_MU,
-    accuracy_from_counts,
-    cobias,
-    counts_from_predictions,
-    pmi_from_counts,
-)
+from .metrics import DEFAULT_MU, _gap_weights, _pairwise_gap, _pmi, counts_from_predictions
 
 DEFAULT_BETA = 2.7
 DEFAULT_TAU = 0.2
@@ -120,21 +118,57 @@ class ObjectiveValue:
     total: float
 
 
+class _Objective:
+    """Counts-to-value map for one dataset's true-class totals and one config.
+
+    Computed once at construction: M, the classes with true samples and
+    their totals as floats, the pairwise-gap weights ``2k - (n-1)`` and pair
+    count, ``true + mu`` and ``M + mu*N``; the warnings about classes without
+    true samples are issued here, once. A call takes the diagonal and, for
+    z3, the prediction totals of a counts matrix with these row totals and
+    repeats the float operations of ``metrics.cobias`` and
+    ``metrics.pmi_from_counts`` in the same order, so the value is
+    bit-identical to that composition.
+    """
+
+    def __init__(self, true_totals: np.ndarray, config: ObjectiveConfig):
+        self.config = config
+        self._m = int(true_totals.sum())
+        self._present = np.flatnonzero(true_totals > 0)
+        self._present_totals = true_totals[self._present].astype(np.float64)
+        if config.use_z2:
+            self._gap = _gap_weights(self._present.size, true_totals.size)
+        self._true_mu = true_totals.astype(np.float64) + config.mu
+        self._denom = self._m + config.mu * true_totals.size
+
+    def __call__(self, counts: np.ndarray) -> ObjectiveValue:
+        config = self.config
+        diag = counts.diagonal()
+        z1 = z2 = z3 = None
+        total = 0.0
+        if config.use_z1:
+            z1 = float((self._m - int(diag.sum())) / self._m)
+            total += z1
+        if config.use_z2:
+            z2 = 0.0
+            if self._gap is not None:
+                acc = diag[self._present] / self._present_totals
+                z2 = _pairwise_gap(acc, *self._gap)
+            total += config.beta * z2
+        if config.use_z3:
+            pmi = _pmi(diag, counts.sum(axis=0), self._true_mu, self._denom, config.mu)
+            z3 = float(pmi.sum())
+            total -= config.tau * z3
+        return ObjectiveValue(z1_error_rate=z1, z2_cobias=z2, z3_pmi_sum=z3, total=total)
+
+
 def objective_from_counts(counts: np.ndarray, config: ObjectiveConfig) -> ObjectiveValue:
-    """Evaluate the objective terms from integer confusion counts."""
-    m = int(counts.sum())
-    z1 = z2 = z3 = None
-    total = 0.0
-    if config.use_z1:
-        z1 = float((m - int(np.diag(counts).sum())) / m)
-        total += z1
-    if config.use_z2:
-        z2 = cobias(accuracy_from_counts(counts))
-        total += config.beta * z2
-    if config.use_z3:
-        z3 = float(pmi_from_counts(counts, config.mu).sum())
-        total -= config.tau * z3
-    return ObjectiveValue(z1_error_rate=z1, z2_cobias=z2, z3_pmi_sum=z3, total=total)
+    """Evaluate the objective terms from integer confusion counts.
+
+    Builds a fresh ``_Objective`` per call (and so warns per call); the
+    annealer's evaluator keeps one per run instead.
+    """
+    return _Objective(counts.sum(axis=1), config)(counts)
 
 
 def evaluate(
@@ -171,7 +205,10 @@ class IncrementalEvaluator:
     Every score is the same product ``p[i, j] * w[j]`` a full evaluation
     computes, and the confusion counts move by a bincount difference over
     the rows whose prediction changed, so results are bit-identical to a
-    full evaluation.
+    full evaluation. The counts are scored by an ``_Objective`` built once
+    from the dataset's true-class totals, so its per-dataset constants are
+    computed, and its warnings issued, once per evaluator rather than once
+    per proposal.
 
     A single solver run owns the cache; ``propose`` is side-effect free and
     ``apply`` commits a move.
@@ -195,7 +232,8 @@ class IncrementalEvaluator:
         self._label_base = dataset.labels * n
         self._preds, self._row_max = self._argmax(scale.values[self._indices - 1])
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
-        self._value = objective_from_counts(self._counts, config)
+        self._objective = _Objective(self._counts.sum(axis=1), config)
+        self._value = self._objective(self._counts)
         self._pending = None
 
     @property
@@ -261,7 +299,7 @@ class IncrementalEvaluator:
             base = self._label_base[changed]
             delta = np.bincount(base + new, minlength=nn) - np.bincount(base + old, minlength=nn)
             counts = self._counts + delta.reshape(self._counts.shape)
-            value = objective_from_counts(counts, self.config)
+            value = self._objective(counts)
         else:
             counts, value = self._counts, self._value
         self._pending = (c, new_index, rows, new_preds, new_max, counts, value)

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cobias import ProbabilityDataset, save_dataset
+from cobias import (
+    ObjectiveConfig,
+    ProbabilityDataset,
+    ReweightArtifact,
+    RunProvenance,
+    WeightScale,
+    WeightSelection,
+    load_artifact,
+    load_dataset,
+    save_artifact,
+    save_dataset,
+)
 from cobias.cli import main
 
 from helpers import dataset_from_confusion, random_dataset
@@ -79,6 +90,27 @@ class TestEvaluate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "not valid UTF-8" in lines[0] and "line 1" in lines[0]
 
+    @pytest.mark.parametrize(
+        "name,row,message",
+        [
+            ("p.jsonl", '{"probs":[1%s,0.5],"label":1}' % ("0" * 399),
+             "probability too large for a float"),
+            ("l.jsonl", '{"probs":[0.5,0.5],"label":100000000000000000000000}',
+             "sample 1: label beyond the 64-bit integer range"),
+            ("l.csv", "0.5,0.5,1e300", "sample 1: label beyond the 64-bit integer range"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":1%s}' % ("0" * 5000), "invalid number"),
+        ],
+    )
+    def test_overflowing_number_is_one_error_line(self, runner, tmp_path, name, row, message):
+        path = tmp_path / name
+        first = "0.5,0.5,0" if name.endswith(".csv") else '{"probs":[0.5,0.5],"label":0}'
+        path.write_text(f"{first}\n{row}\n")
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: line 1: ")
+        assert message in lines[0]
+
     def test_unknown_extension_needs_format_flag(self, runner, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text('{"probs":[0.5,0.5],"label":0}\n')
@@ -145,6 +177,21 @@ class TestOptimizeAndApply:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "not valid UTF-8" in lines[0]
 
+    def test_giant_json_number_is_one_error_line(self, runner, small_sets, tmp_path):
+        # integers above Python's 4300-digit string limit fail inside json
+        opt, _ = small_sets
+        giant = "1" + "0" * 5000
+        artifact, spec = tmp_path / "a.json", tmp_path / "spec.json"
+        artifact.write_text('{"kind": "reweight_artifact", "k_points": %s}' % giant)
+        spec.write_text('{"num_classes": %s}' % giant)
+        for args in (["apply", opt, str(artifact)],
+                     ["generate", "--spec", str(spec), "--out", str(tmp_path / "g.jsonl")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "has an invalid number" in lines[0]
+
     def test_mu_zero_with_pmi_term_rejected_before_any_work(self, runner, tmp_path):
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
         out = tmp_path / "a.json"
@@ -166,6 +213,36 @@ class TestOptimizeAndApply:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["objective_config"]["mu"] == 0.0
 
+    def test_huge_k_artifact_applies_without_building_the_scale(
+        self, runner, small_sets, tmp_path
+    ):
+        # 10**15 scale points would take 8 PB as an array; coefficients are
+        # index / K, the same doubles as a K=2 artifact selecting (2, 1, 2)
+        opt, _ = small_sets
+        fingerprint = load_dataset(opt, "jsonl").fingerprint()
+        k = 10**15
+        reports = []
+        for scale, indices in ((WeightScale(k), (k, k // 2, k)), (WeightScale(2), (2, 1, 2))):
+            path = tmp_path / f"k{scale.k_points}.json"
+            save_artifact(
+                ReweightArtifact(
+                    scale=scale,
+                    selection=WeightSelection(indices),
+                    objective_config=ObjectiveConfig(),
+                    final_objective=0.0,
+                    provenance=RunProvenance(0, {}, fingerprint),
+                ),
+                path,
+            )
+            report = tmp_path / f"k{scale.k_points}-report.json"
+            result = runner.invoke(main, ["apply", opt, str(path), "--json", str(report)])
+            assert result.exit_code == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        huge = load_artifact(tmp_path / f"k{k}.json")
+        assert huge.coefficients.tolist() == [1.0, 0.5, 1.0]
+        assert "values" not in vars(huge.scale)
+
     def test_apply_rejects_class_count_mismatch(self, runner, small_sets, tmp_path):
         opt, _ = small_sets
         artifact = tmp_path / "a.json"
@@ -184,6 +261,33 @@ class TestOptimizeAndApply:
         result = runner.invoke(main, ["apply", test, str(artifact)])
         assert result.exit_code == 0
         assert "fingerprint" in result.stderr
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    def test_empty_class_warning_is_one_line(self, runner, tmp_path, command):
+        # class 2 has no true samples, which every objective evaluation and
+        # report notices; stderr carries each message once, as one line
+        rng = np.random.default_rng(9)
+        ds = ProbabilityDataset.from_arrays(
+            rng.dirichlet(np.ones(3), size=60), rng.integers(0, 2, size=60)
+        )
+        path = _write_dataset(tmp_path, ds)
+        args = {
+            "optimize": ["optimize", path, "--out", str(tmp_path / "a.json")],
+            "ablate": ["ablate", path, path],
+            "sweep": ["sweep", path, path, "--sizes", "30,60", "--seeds", "0,1"],
+            "compare": ["compare", path, path],
+        }[command]
+        result = runner.invoke(main, args + ["--k", "3", "--tmax", "10", "--tmin", "1"])
+        assert result.exit_code == 0
+        lines = result.stderr.splitlines()
+        assert all(line.startswith("warning: ") for line in lines)
+        assert len(set(lines)) == len(lines)
+        assert (
+            "warning: classes without true samples excluded from the pairwise accuracy gap"
+            in lines
+        )
 
 
 class TestAblate:

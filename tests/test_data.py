@@ -49,6 +49,14 @@ class TestProbabilityDataset:
         with pytest.raises(ValidationError, match="at least 2 classes"):
             ProbabilityDataset.from_arrays([[1.0]], [0])
 
+    def test_errors_carry_sample_index(self):
+        with pytest.raises(ValidationError) as bad_sum:
+            ProbabilityDataset.from_arrays([[0.5, 0.5], [0.7, 0.7]], [0, 1])
+        assert bad_sum.value.sample == 1
+        with pytest.raises(ValidationError, match="64-bit") as huge_label:
+            ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, [0, 1, 10**30])
+        assert huge_label.value.sample == 2
+
     def test_renormalize_divides_by_row_sum(self):
         ds = ProbabilityDataset.from_arrays([[0.7, 0.2]], [0], renormalize=True)
         s = 0.7 + 0.2
@@ -80,6 +88,12 @@ class TestWeightScale:
         np.testing.assert_array_equal(
             sel.coefficients(scale), [3 / 30, 1 / 30, 1 / 30, 20 / 30]
         )
+
+    def test_coefficients_are_the_scale_values_bit_for_bit(self):
+        for k in range(1, 257):
+            scale = WeightScale(k)
+            every_point = WeightSelection(tuple(range(1, k + 1)))
+            assert every_point.coefficients(scale).tobytes() == scale.values.tobytes()
 
     def test_selection_validation(self):
         scale = WeightScale(5)

@@ -1,18 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cobias import (
+    AnnealSchedule,
     IncrementalEvaluator,
     ObjectiveConfig,
     ProbabilityDataset,
     ValidationError,
     WeightScale,
     WeightSelection,
+    anneal,
     evaluate,
     evaluate_incremental,
 )
-from cobias.metrics import confusion
-from cobias.objective import TERM_COMBINATIONS
+from cobias.metrics import accuracy_from_counts, cobias, confusion, pmi_from_counts
+from cobias.objective import TERM_COMBINATIONS, _Objective
 
 from helpers import random_dataset
 
@@ -98,6 +102,70 @@ class TestEvaluate:
         }
         with pytest.raises(ValidationError):
             ObjectiveConfig.with_terms("z4")
+
+
+class TestObjectiveCore:
+    @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
+    def test_matches_metrics_composition_bit_for_bit(self, terms):
+        # N from 2 to 17 crosses numpy's 8-wide pairwise-summation block;
+        # empty rows exercise the excluded classes and the <2-class zero gap.
+        rng = np.random.default_rng(41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in range(2, 18):
+                for _ in range(12):
+                    cfg = ObjectiveConfig.with_terms(
+                        terms, beta=3 * rng.random(), tau=rng.random(),
+                        mu=10 ** rng.uniform(-4, 0),
+                    )
+                    counts = rng.integers(0, 40, size=(n, n))
+                    counts[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = 0
+                    counts[0, rng.integers(n)] += 1
+                    got = _Objective(counts.sum(axis=1), cfg)(counts)
+                    m = int(counts.sum())
+                    z1 = (m - int(np.trace(counts))) / m
+                    z2 = cobias(accuracy_from_counts(counts))
+                    z3 = float(pmi_from_counts(counts, cfg.mu).sum())
+                    total = 0.0
+                    if cfg.use_z1:
+                        total += z1
+                    if cfg.use_z2:
+                        total += cfg.beta * z2
+                    if cfg.use_z3:
+                        total -= cfg.tau * z3
+                    assert got.z1_error_rate == (z1 if cfg.use_z1 else None)
+                    assert got.z2_cobias == (z2 if cfg.use_z2 else None)
+                    assert got.z3_pmi_sum == (z3 if cfg.use_z3 else None)
+                    assert got.total == total
+
+    @pytest.mark.parametrize(
+        "num_labels,messages",
+        [
+            (2, ["classes without true samples excluded from the pairwise accuracy gap"]),
+            (1, ["classes without true samples excluded from the pairwise accuracy gap",
+                 "fewer than 2 classes with defined accuracy; gap is 0"]),
+        ],
+    )
+    def test_anneal_warns_once_per_run(self, num_labels, messages):
+        # class 2 (and with one label, class 1) has no true samples; the
+        # warnings come once per run, not once per evaluation
+        rng = np.random.default_rng(7)
+        probs = rng.dirichlet(np.ones(3), size=60)
+        ds = ProbabilityDataset.from_arrays(probs, rng.integers(0, num_labels, size=60))
+        scale = WeightScale(4)
+        cfg = ObjectiveConfig()
+        schedule = AnnealSchedule(t_max=1.0, t_min=0.1, alpha=0.5, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = anneal(ds, scale, cfg, schedule)
+        assert [str(w.message) for w in caught] == messages
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert result.value == evaluate(ds, result.selection, scale, cfg)
+        if num_labels == 2:
+            assert result.trace.total_evaluations == 71
+            assert result.selection.indices == (3, 2, 1)
+            assert result.value.total == 0.17563051888859493
 
 
 class TestIncrementalEvaluator:
