@@ -14,7 +14,6 @@ from .annealer import (
     AnnealTrace,
     TraceRecord,
     anneal,
-    perturb,
     predicted_complexity,
     write_trace,
 )
@@ -42,18 +41,10 @@ from .metrics import (
     confusion,
     odd_classes,
     per_class_accuracy,
-    pmi_vector,
-    predict,
     predict_dataset,
     report_document,
 )
-from .objective import (
-    IncrementalEvaluator,
-    ObjectiveConfig,
-    ObjectiveValue,
-    evaluate,
-    evaluate_incremental,
-)
+from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue, evaluate
 from .oracle import enumerate_optimum
 
 __all__ = [
@@ -87,16 +78,12 @@ __all__ = [
     "confusion",
     "enumerate_optimum",
     "evaluate",
-    "evaluate_incremental",
     "generate_synthetic",
     "load_artifact",
     "load_dataset",
     "odd_classes",
     "per_class_accuracy",
-    "perturb",
-    "pmi_vector",
     "predicted_complexity",
-    "predict",
     "predict_dataset",
     "report_document",
     "save_artifact",

@@ -121,23 +121,6 @@ def _draw_move(rng: np.random.Generator, indices: np.ndarray, k_points: int) -> 
     return c, new_index
 
 
-def perturb(
-    selection: WeightSelection, scale: WeightScale, rng: np.random.Generator
-) -> tuple[WeightSelection, bool]:
-    """Change exactly one class's scale index to a uniformly drawn alternative.
-
-    Returns the new selection and True, or the input unchanged and False when
-    the scale has a single point and no alternative exists.
-    """
-    if scale.k_points == 1:
-        return selection, False
-    indices = np.asarray(selection.indices, dtype=np.int64)
-    c, new_index = _draw_move(rng, indices, scale.k_points)
-    new = list(selection.indices)
-    new[c] = new_index
-    return WeightSelection(tuple(new)), True
-
-
 def predicted_complexity(num_classes: int, k_points: int, schedule: AnnealSchedule) -> int:
     """Upper bound on the number of proposals a run can generate:
 

@@ -29,6 +29,7 @@ from .data import (
     RunProvenance,
     SyntheticSpec,
     WeightScale,
+    _stratified_subsample,
     generate_synthetic,
     load_artifact,
     load_dataset,
@@ -93,6 +94,20 @@ def _infer_format(path: str, fmt: str | None) -> str:
 
 def _load(path: str, fmt: str | None, renormalize: bool) -> ProbabilityDataset:
     return load_dataset(path, _infer_format(path, fmt), renormalize)
+
+
+def _load_pair(
+    optimization_path: str, test_path: str, fmt: str | None, renormalize: bool
+) -> tuple[ProbabilityDataset, ProbabilityDataset]:
+    """Load the optimization and test sets; they must share a class count."""
+    opt_set = _load(optimization_path, fmt, renormalize)
+    test_set = _load(test_path, fmt, renormalize)
+    if opt_set.num_classes != test_set.num_classes:
+        raise ValidationError(
+            f"optimization set has {opt_set.num_classes} classes but "
+            f"test set has {test_set.num_classes}"
+        )
+    return opt_set, test_set
 
 
 _dataset_options = [
@@ -186,10 +201,9 @@ def _check_artifact(artifact: ReweightArtifact, dataset: ProbabilityDataset) -> 
             f"dataset has {dataset.num_classes}"
         )
     if artifact.provenance.dataset_fingerprint != dataset.fingerprint():
-        click.echo(
-            "warning: dataset fingerprint differs from the one recorded in the "
-            "artifact; weights were learned on different data",
-            err=True,
+        warnings.warn(
+            "dataset fingerprint differs from the one recorded in the "
+            "artifact; weights were learned on different data"
         )
 
 
@@ -321,13 +335,10 @@ def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
            k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
     """Optimize each of the seven objective-term combinations and report
     test accuracy and imbalance per row (--terms is ignored here)."""
-    opt_set = _load(optimization_path, fmt, renormalize)
-    test_set = _load(test_path, fmt, renormalize)
-    if opt_set.num_classes != test_set.num_classes:
-        raise ValidationError("optimization and test sets disagree on the class count")
     scale = WeightScale(k_points)
     schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
     configs = {key: _config(key, beta, tau, mu) for key in TERM_COMBINATIONS}
+    opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
     rows = []
     for key, config in configs.items():
         result = anneal(opt_set, scale, config, schedule)
@@ -347,56 +358,6 @@ def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
     _write_json({"schema_version": 1, "kind": "ablation_report", "rows": rows}, json_path)
 
 
-def _stratified_subsample(
-    dataset: ProbabilityDataset, size: int, rng: np.random.Generator
-) -> ProbabilityDataset:
-    """Label-stratified subsample of the requested size, preserving row order.
-
-    Falls back to a simple random sample (with a warning) when the size
-    cannot cover every class present.
-    """
-    m = dataset.num_samples
-    if size > m:
-        raise ValidationError(f"requested {size} samples but the set has {m}")
-    if size == m:
-        return dataset
-    labels = dataset.labels
-    present = np.unique(labels)
-    if size < present.size:
-        warnings.warn(
-            f"size {size} cannot cover all {present.size} classes; "
-            "falling back to a simple random sample"
-        )
-        chosen = np.sort(rng.choice(m, size=size, replace=False))
-    else:
-        counts = {int(c): int((labels == c).sum()) for c in present}
-        alloc = {int(c): 1 for c in present}
-        remaining = size - present.size
-        # Largest-remainder split of the rest, capped by availability.
-        quotas = {c: remaining * counts[c] / m for c in alloc}
-        for c in alloc:
-            take = min(int(quotas[c]), counts[c] - alloc[c])
-            alloc[c] += take
-            remaining -= take
-        while remaining > 0:
-            order = sorted(
-                (c for c in alloc if alloc[c] < counts[c]),
-                key=lambda c: quotas[c] - int(quotas[c]),
-                reverse=True,
-            )
-            for c in order:
-                if remaining == 0:
-                    break
-                alloc[c] += 1
-                remaining -= 1
-        parts = []
-        for c in sorted(alloc):
-            idx = np.flatnonzero(labels == c)
-            parts.append(rng.choice(idx, size=alloc[c], replace=False))
-        chosen = np.sort(np.concatenate(parts))
-    return ProbabilityDataset.from_arrays(dataset.probs[chosen], labels[chosen])
-
-
 @main.command()
 @click.argument("optimization_path", type=click.Path())
 @click.argument("test_path", type=click.Path())
@@ -413,10 +374,6 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
           terms, k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
     """Optimize on stratified subsets of increasing size and report test
     accuracy and imbalance as mean and standard deviation over seeds."""
-    opt_set = _load(optimization_path, fmt, renormalize)
-    test_set = _load(test_path, fmt, renormalize)
-    if opt_set.num_classes != test_set.num_classes:
-        raise ValidationError("optimization and test sets disagree on the class count")
     try:
         size_list = [int(s) for s in sizes.split(",") if s.strip()]
         seed_list = [int(s) for s in seeds.split(",") if s.strip()]
@@ -426,13 +383,14 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
         raise ValidationError("need at least one size and one seed")
     scale = WeightScale(k_points)
     config = _config(terms, beta, tau, mu)
+    schedules = {s: _schedule(tmax, tmin, alpha, lam, max_accepted, s) for s in seed_list}
+    opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
     rows = []
     for size in size_list:
         accs, cbs = [], []
         for s in seed_list:
             subset = _stratified_subsample(opt_set, size, np.random.default_rng(s))
-            schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, s)
-            result = anneal(subset, scale, config, schedule)
+            result = anneal(subset, scale, config, schedules[s])
             report = class_report(test_set, result.selection, scale)
             accs.append(report.overall)
             cbs.append(report.cobias)
@@ -500,11 +458,10 @@ def compare(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms
             k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
     """Compare identity, batch calibration, and learned reweighting on the
     test set; the reweighting is fit on the optimization set only."""
-    opt_set = _load(optimization_path, fmt, renormalize)
-    test_set = _load(test_path, fmt, renormalize)
     scale = WeightScale(k_points)
     config = _config(terms, beta, tau, mu)
     schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
+    opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
     comparison = compare_methods(opt_set, test_set, scale, config, schedule)
     click.echo(f"{'method':<18} {'accuracy':>9} {'error':>9} {'cobias':>9} {'cobias_1':>9}")
     for row in comparison.rows:

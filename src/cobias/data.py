@@ -12,8 +12,8 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -129,10 +129,6 @@ class WeightScale:
         if self.k_points < 1:
             raise ValidationError(f"k_points must be >= 1, got {self.k_points}")
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        return readonly_array((np.arange(1, self.k_points + 1, dtype=np.float64)) / self.k_points)
-
 
 @dataclass(frozen=True)
 class WeightSelection:
@@ -160,7 +156,7 @@ class WeightSelection:
                 )
 
     def coefficients(self, scale: WeightScale) -> np.ndarray:
-        # the same doubles as scale.values[indices - 1], without building all K
+        # index / k_points per class: the one index-to-weight rule
         return np.asarray(self.indices, dtype=np.float64) / scale.k_points
 
 
@@ -199,7 +195,9 @@ class SyntheticSpec:
             raise ValidationError("concentration must be positive")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SyntheticSpec":
+    def from_dict(cls, doc) -> "SyntheticSpec":
+        if not isinstance(doc, dict):
+            raise ValidationError("synthetic spec must be a JSON object")
         try:
             return cls(
                 num_classes=int(doc["num_classes"]),
@@ -210,6 +208,10 @@ class SyntheticSpec:
             )
         except KeyError as exc:
             raise ValidationError(f"synthetic spec missing field {exc}") from exc
+        except ValidationError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"synthetic spec has an invalid value: {exc}") from exc
 
 
 def generate_synthetic(spec: SyntheticSpec) -> ProbabilityDataset:
@@ -235,6 +237,56 @@ def generate_synthetic(spec: SyntheticSpec) -> ProbabilityDataset:
         blocks.append(block)
         labels.append(np.full(count, i, dtype=np.int64))
     return ProbabilityDataset.from_arrays(np.vstack(blocks), np.concatenate(labels))
+
+
+def _stratified_subsample(
+    dataset: ProbabilityDataset, size: int, rng: np.random.Generator
+) -> ProbabilityDataset:
+    """Label-stratified subsample of the requested size, preserving row order.
+
+    Falls back to a simple random sample (with a warning) when the size
+    cannot cover every class present.
+    """
+    m = dataset.num_samples
+    if size > m:
+        raise ValidationError(f"requested {size} samples but the set has {m}")
+    if size == m:
+        return dataset
+    labels = dataset.labels
+    present = np.unique(labels)
+    if size < present.size:
+        warnings.warn(
+            f"size {size} cannot cover all {present.size} classes; "
+            "falling back to a simple random sample"
+        )
+        chosen = np.sort(rng.choice(m, size=size, replace=False))
+    else:
+        counts = {int(c): int((labels == c).sum()) for c in present}
+        alloc = {int(c): 1 for c in present}
+        remaining = size - present.size
+        # Largest-remainder split of the rest, capped by availability.
+        quotas = {c: remaining * counts[c] / m for c in alloc}
+        for c in alloc:
+            take = min(int(quotas[c]), counts[c] - alloc[c])
+            alloc[c] += take
+            remaining -= take
+        while remaining > 0:
+            order = sorted(
+                (c for c in alloc if alloc[c] < counts[c]),
+                key=lambda c: quotas[c] - int(quotas[c]),
+                reverse=True,
+            )
+            for c in order:
+                if remaining == 0:
+                    break
+                alloc[c] += 1
+                remaining -= 1
+        parts = []
+        for c in sorted(alloc):
+            idx = np.flatnonzero(labels == c)
+            parts.append(rng.choice(idx, size=alloc[c], replace=False))
+        chosen = np.sort(np.concatenate(parts))
+    return ProbabilityDataset.from_arrays(dataset.probs[chosen], labels[chosen])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +445,7 @@ class RunProvenance:
 class ReweightArtifact:
     """A learned per-class reweighting: scale, selection, and run metadata.
 
-    ``coefficients[n]`` always equals ``scale.values[selection.indices[n]-1]``
+    ``coefficients[n]`` always equals ``selection.indices[n] / scale.k_points``
     and survives a save/load round trip bit-for-bit.
     """
 

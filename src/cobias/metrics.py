@@ -45,23 +45,6 @@ def weighted_scores(probs: np.ndarray, coefficients: np.ndarray | None) -> np.nd
     return probs if coefficients is None else probs * coefficients
 
 
-def predict(
-    probs,
-    selection: WeightSelection | None = None,
-    scale: WeightScale | None = None,
-) -> int:
-    """Predicted class for one probability vector: argmax of weighted entries.
-
-    With no selection the raw argmax is returned. Ties break to the lowest
-    class index.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValidationError(f"expected a 1-d probability vector, got shape {probs.shape}")
-    coeffs = _coefficients(probs.shape[0], selection, scale)
-    return int(np.argmax(weighted_scores(probs, coeffs)))
-
-
 def predict_dataset(
     dataset: ProbabilityDataset,
     selection: WeightSelection | None = None,
@@ -210,18 +193,8 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
     return float(sum(gaps) / len(gaps))
 
 
-def pmi_vector(
-    dataset: ProbabilityDataset,
-    selection: WeightSelection | None = None,
-    scale: WeightScale | None = None,
-    mu: float = DEFAULT_MU,
-) -> np.ndarray:
-    """Smoothed pointwise mutual information between predicted and true class j."""
-    cm = confusion(dataset, selection, scale)
-    return pmi_from_counts(cm.counts, mu)
-
-
 def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
+    """Smoothed pointwise mutual information between predicted and true class j."""
     if mu < 0:
         raise ValidationError(f"mu must be nonnegative, got {mu}")
     m = counts.sum()

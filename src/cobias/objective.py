@@ -26,7 +26,14 @@ import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
-from .metrics import DEFAULT_MU, _gap_weights, _pairwise_gap, _pmi, counts_from_predictions
+from .metrics import (
+    DEFAULT_MU,
+    _gap_weights,
+    _pairwise_gap,
+    _pmi,
+    confusion,
+    counts_from_predictions,
+)
 
 DEFAULT_BETA = 2.7
 DEFAULT_TAU = 0.2
@@ -178,11 +185,7 @@ def evaluate(
     config: ObjectiveConfig,
 ) -> ObjectiveValue:
     """Full objective evaluation for one selection."""
-    selection.validate(dataset.num_classes, scale)
-    coeffs = selection.coefficients(scale)
-    preds = np.argmax(dataset.probs * coeffs, axis=1)
-    counts = counts_from_predictions(dataset.labels, preds, dataset.num_classes)
-    return objective_from_counts(counts, config)
+    return objective_from_counts(confusion(dataset, selection, scale).counts, config)
 
 
 class IncrementalEvaluator:
@@ -202,13 +205,13 @@ class IncrementalEvaluator:
       re-argmaxed, reducing ``probs_t[j, rows] * w[j]`` one class at a time.
       A no-op move takes this path and reproduces the cached rows.
 
-    Every score is the same product ``p[i, j] * w[j]`` a full evaluation
-    computes, and the confusion counts move by a bincount difference over
-    the rows whose prediction changed, so results are bit-identical to a
-    full evaluation. The counts are scored by an ``_Objective`` built once
-    from the dataset's true-class totals, so its per-dataset constants are
-    computed, and its warnings issued, once per evaluator rather than once
-    per proposal.
+    Every score is the same product ``p[i, j] * w[j]``, with
+    ``w[j] = index_j / k_points``, that a full evaluation computes, and the
+    confusion counts move by a bincount difference over the rows whose
+    prediction changed, so results are bit-identical to a full evaluation.
+    The counts are scored by an ``_Objective`` built once from the dataset's
+    true-class totals, so its per-dataset constants are computed, and its
+    warnings issued, once per evaluator rather than once per proposal.
 
     A single solver run owns the cache; ``propose`` is side-effect free and
     ``apply`` commits a move.
@@ -225,12 +228,11 @@ class IncrementalEvaluator:
         self.dataset = dataset
         self.scale = scale
         self.config = config
-        self._fingerprint = dataset.fingerprint()
         n = dataset.num_classes
         self._indices = np.asarray(selection.indices, dtype=np.int64)
         self._probs_t = np.ascontiguousarray(dataset.probs.T)
         self._label_base = dataset.labels * n
-        self._preds, self._row_max = self._argmax(scale.values[self._indices - 1])
+        self._preds, self._row_max = self._argmax(self._indices / scale.k_points)
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._objective = _Objective(self._counts.sum(axis=1), config)
         self._value = self._objective(self._counts)
@@ -243,9 +245,6 @@ class IncrementalEvaluator:
     @property
     def value(self) -> ObjectiveValue:
         return self._value
-
-    def dataset_fingerprint(self) -> str:
-        return self._fingerprint
 
     def _check_move(self, class_index: int, new_index: int) -> None:
         if not 0 <= class_index < self.dataset.num_classes:
@@ -277,8 +276,8 @@ class IncrementalEvaluator:
         """Objective value with one class's weight changed; state untouched."""
         self._check_move(class_index, new_index)
         c = class_index
-        weights = self.scale.values[self._indices - 1]  # fancy indexing copies
-        weights[c] = self.scale.values[new_index - 1]
+        weights = self._indices / self.scale.k_points
+        weights[c] = new_index / self.scale.k_points
         if new_index > self._indices[c]:
             new_col = self._probs_t[c] * weights[c]
             cand = np.flatnonzero(new_col >= self._row_max)
@@ -320,15 +319,3 @@ class IncrementalEvaluator:
         self._value = value
         return value
 
-
-def evaluate_incremental(
-    state: IncrementalEvaluator, changed_class: int, new_index: int
-) -> ObjectiveValue:
-    """Objective after changing one class's weight, via the cached state.
-
-    Raises if the state's dataset no longer matches the fingerprint captured
-    when the cache was built (stale state).
-    """
-    if state.dataset.fingerprint() != state.dataset_fingerprint():
-        raise ValidationError("stale evaluation state: dataset fingerprint mismatch")
-    return state.propose(changed_class, new_index)

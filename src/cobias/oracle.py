@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from itertools import product
 
-import numpy as np
-
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
-from .metrics import counts_from_predictions
+from .metrics import confusion
 from .objective import ObjectiveConfig, ObjectiveValue, objective_from_counts
 
 DEFAULT_BUDGET = 10**6
@@ -38,17 +36,12 @@ def enumerate_optimum(
         raise ValidationError(
             f"enumeration would evaluate {count} selections, above the budget of {budget}"
         )
-    probs = dataset.probs
-    labels = dataset.labels
-    values = scale.values
-    best_sel: tuple[int, ...] | None = None
+    best_sel: WeightSelection | None = None
     best_val: ObjectiveValue | None = None
     for sel in product(range(1, k + 1), repeat=n):
-        coeffs = values[np.array(sel, dtype=np.int64) - 1]
-        preds = np.argmax(probs * coeffs, axis=1)
-        counts = counts_from_predictions(labels, preds, n)
-        val = objective_from_counts(counts, config)
+        selection = WeightSelection(sel)
+        val = objective_from_counts(confusion(dataset, selection, scale).counts, config)
         if best_val is None or val.total < best_val.total:
-            best_sel, best_val = sel, val
+            best_sel, best_val = selection, val
     assert best_sel is not None and best_val is not None
-    return WeightSelection(best_sel), best_val
+    return best_sel, best_val

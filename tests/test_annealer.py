@@ -11,10 +11,10 @@ from cobias import (
     WeightScale,
     WeightSelection,
     anneal,
-    perturb,
     predicted_complexity,
 )
-from cobias.annealer import write_trace
+from cobias import annealer
+from cobias.annealer import _draw_move, write_trace
 
 from helpers import random_dataset
 
@@ -39,48 +39,41 @@ class TestSchedule:
 class TestPerturb:
     def test_changes_exactly_one_coordinate(self):
         rng = np.random.default_rng(0)
-        scale = WeightScale(6)
-        sel = WeightSelection((1, 3, 6, 2))
+        indices = np.array([1, 3, 6, 2])
         for _ in range(200):
-            new, changed = perturb(sel, scale, rng)
-            assert changed
-            diffs = [a != b for a, b in zip(sel.indices, new.indices)]
-            assert sum(diffs) == 1
-            changed_pos = diffs.index(True)
-            assert 1 <= new.indices[changed_pos] <= 6
-            assert new.indices[changed_pos] != sel.indices[changed_pos]
+            c, new_index = _draw_move(rng, indices, 6)
+            assert 0 <= c < 4
+            assert 1 <= new_index <= 6
+            assert new_index != indices[c]
 
     def test_two_by_two_move_frequencies(self):
-        # N=2, K=2 from (1,1): the only moves are (2,1) and (1,2), each
-        # expected half the time over 10k draws within a 2% tolerance.
+        # N=2, K=2 from (1,1): the only moves are (class 0, 2) and (class 1, 2),
+        # each expected half the time over 10k draws within a 2% tolerance.
         rng = np.random.default_rng(123)
-        scale = WeightScale(2)
-        sel = WeightSelection((1, 1))
-        hits = {(2, 1): 0, (1, 2): 0}
+        indices = np.array([1, 1])
+        hits = {(0, 2): 0, (1, 2): 0}
         draws = 10000
         for _ in range(draws):
-            new, _ = perturb(sel, scale, rng)
-            hits[new.indices] += 1
-        assert hits[(2, 1)] + hits[(1, 2)] == draws
-        assert abs(hits[(2, 1)] / draws - 0.5) < 0.02
+            hits[_draw_move(rng, indices, 2)] += 1
+        assert hits[(0, 2)] + hits[(1, 2)] == draws
+        assert abs(hits[(0, 2)] / draws - 0.5) < 0.02
 
     def test_all_moves_reachable(self):
         # every (class, alternative index) pair appears within enough draws
         rng = np.random.default_rng(7)
-        scale = WeightScale(4)
-        sel = WeightSelection((2, 2, 2))
-        seen = set()
-        for _ in range(2000):
-            new, _ = perturb(sel, scale, rng)
-            seen.add(new.indices)
+        indices = np.array([2, 2, 2])
+        seen = {_draw_move(rng, indices, 4) for _ in range(2000)}
         assert len(seen) == 3 * 3
 
-    def test_single_point_scale_returns_input(self):
-        rng = np.random.default_rng(0)
-        sel = WeightSelection((1, 1))
-        new, changed = perturb(sel, WeightScale(1), rng)
-        assert not changed
-        assert new is sel
+    def test_single_point_scale_returns_input(self, monkeypatch):
+        # a one-point scale has no alternative index, so no move is drawn
+        def no_move(*args):
+            raise AssertionError("drew a move on a single-point scale")
+
+        monkeypatch.setattr(annealer, "_draw_move", no_move)
+        ds = random_dataset(np.random.default_rng(0), 20, 2)
+        result = anneal(ds, WeightScale(1), ObjectiveConfig(), AnnealSchedule(seed=0))
+        assert result.selection == WeightSelection((1, 1))
 
 
 class TestPredictedComplexity:

@@ -192,10 +192,20 @@ class TestOptimizeAndApply:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "has an invalid number" in lines[0]
 
-    def test_mu_zero_with_pmi_term_rejected_before_any_work(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    def test_mu_zero_with_pmi_term_rejected_before_any_work(self, runner, tmp_path, command):
+        # the config is checked before any dataset is read, so missing
+        # dataset files do not turn the error (exit 1) into an i/o error
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
         out = tmp_path / "a.json"
-        result = runner.invoke(main, ["optimize", opt, "--mu", "0", "--out", str(out)])
+        missing = [str(tmp_path / "missing-opt.jsonl"), str(tmp_path / "missing-test.jsonl")]
+        args = {
+            "optimize": ["optimize", opt, "--out", str(out)],
+            "ablate": ["ablate", *missing, "--json", str(out)],
+            "sweep": ["sweep", *missing, "--sizes", "30", "--json", str(out)],
+            "compare": ["compare", *missing, "--json", str(out)],
+        }[command]
+        result = runner.invoke(main, [*args, "--mu", "0"])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
@@ -260,7 +270,10 @@ class TestOptimizeAndApply:
         runner.invoke(main, ["optimize", opt, "--k", "3", "--out", str(artifact)])
         result = runner.invoke(main, ["apply", test, str(artifact)])
         assert result.exit_code == 0
-        assert "fingerprint" in result.stderr
+        assert [line for line in result.stderr.splitlines() if "fingerprint" in line] == [
+            "warning: dataset fingerprint differs from the one recorded in the "
+            "artifact; weights were learned on different data"
+        ]
 
 
 class TestWarnings:
@@ -483,6 +496,28 @@ class TestGenerateAndCompare:
         runner.invoke(main, ["generate", "--spec", str(spec_path), "--out", str(a)])
         runner.invoke(main, ["generate", "--spec", str(spec_path), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1], "error: synthetic spec must be a JSON object"),
+            (
+                {"num_classes": "x", "samples_per_class": [4, 4],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 9},
+                "error: synthetic spec has an invalid value: invalid literal for int() "
+                "with base 10: 'x'",
+            ),
+        ],
+        ids=["list", "non-numeric-num-classes"],
+    )
+    def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "g.jsonl"
+        result = runner.invoke(main, ["generate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [message]
+        assert not out.exists()
 
     def test_compare_emits_three_rows(self, runner, small_sets, tmp_path):
         opt, test = small_sets

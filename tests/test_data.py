@@ -78,9 +78,10 @@ class TestProbabilityDataset:
 class TestWeightScale:
     def test_values_end_at_one(self):
         scale = WeightScale(30)
-        assert scale.values[-1] == 1.0
-        assert np.all(np.diff(scale.values) > 0)
-        assert scale.values[0] == 1.0 / 30
+        values = WeightSelection(tuple(range(1, 31))).coefficients(scale)
+        assert values[-1] == 1.0
+        assert np.all(np.diff(values) > 0)
+        assert values[0] == 1.0 / 30
 
     def test_selection_coefficients(self):
         scale = WeightScale(30)
@@ -93,7 +94,8 @@ class TestWeightScale:
         for k in range(1, 257):
             scale = WeightScale(k)
             every_point = WeightSelection(tuple(range(1, k + 1)))
-            assert every_point.coefficients(scale).tobytes() == scale.values.tobytes()
+            values = np.arange(1, k + 1, dtype=np.float64) / k
+            assert every_point.coefficients(scale).tobytes() == values.tobytes()
 
     def test_selection_validation(self):
         scale = WeightScale(5)

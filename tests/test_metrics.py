@@ -15,8 +15,6 @@ from cobias import (
     confusion,
     odd_classes,
     per_class_accuracy,
-    pmi_vector,
-    predict,
     predict_dataset,
 )
 from cobias.metrics import pmi_from_counts, report_document
@@ -24,29 +22,35 @@ from cobias.metrics import pmi_from_counts, report_document
 from helpers import REFERENCE_COUNTS, REFERENCE_ROW_TOTALS, dataset_from_confusion
 
 
+def _row(probs) -> ProbabilityDataset:
+    """One-sample dataset holding a single probability vector."""
+    return ProbabilityDataset.from_arrays([probs], [0])
+
+
 class TestPredict:
     def test_reweighting_flips_argmax(self):
         # coefficients (0.4, 1.0, 1.0) from a 5-point scale
         scale = WeightScale(5)
         sel = WeightSelection((2, 5, 5))
-        assert predict([0.5, 0.3, 0.2], sel, scale) == 1
+        assert sel.coefficients(scale).tolist() == [0.4, 1.0, 1.0]
+        assert predict_dataset(_row([0.5, 0.3, 0.2]), sel, scale).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict([0.5, 0.5]) == 0
+        assert predict_dataset(_row([0.5, 0.5])).tolist() == [0]
 
     def test_identity_is_plain_argmax(self):
-        assert predict([0.1, 0.9]) == 1
+        assert predict_dataset(_row([0.1, 0.9])).tolist() == [1]
 
     def test_scaling_coefficients_preserves_argmax(self):
         # equal coefficients at any scale position keep the identity argmax
         for k, idx in ((2, 1), (2, 2), (10, 3)):
             scale = WeightScale(k)
             sel = WeightSelection((idx, idx))
-            assert predict([0.1, 0.9], sel, scale) == 1
+            assert predict_dataset(_row([0.1, 0.9]), sel, scale).tolist() == [1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            predict([0.5, 0.5], WeightSelection((1, 1, 1)), WeightScale(2))
+            predict_dataset(_row([0.5, 0.5]), WeightSelection((1, 1, 1)), WeightScale(2))
 
 
 class TestConfusion:
@@ -173,7 +177,7 @@ class TestPmi:
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7], [0.1, 0.9]], [0, 0, 1, 1]
         )
-        pmi = pmi_vector(ds, mu=0.0)
+        pmi = pmi_from_counts(confusion(ds).counts, 0.0)
         assert pmi[1] == pytest.approx(math.log(4 / 3), abs=1e-12)
         assert pmi[0] == pytest.approx(math.log((1 / 4) / ((1 / 4) * (1 / 2))), abs=1e-12)
 
@@ -182,7 +186,7 @@ class TestPmi:
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.1], [0.1, 0.9], [0.9, 0.1], [0.1, 0.9]], [0, 0, 1, 1]
         )
-        pmi = pmi_vector(ds, mu=0.0)
+        pmi = pmi_from_counts(confusion(ds).counts, 0.0)
         assert pmi[0] == 0.0
         assert pmi[1] == 0.0
 
@@ -192,7 +196,7 @@ class TestPmi:
         probs = np.tile([0.9, 0.1], (m, 1))
         labels = np.array([0] * 50 + [1] * 50)
         ds = ProbabilityDataset.from_arrays(probs, labels)
-        pmi = pmi_vector(ds, mu=mu)
+        pmi = pmi_from_counts(confusion(ds).counts, mu)
         # independent oracle: compute each smoothed ratio separately
         denom = m + mu * n
         f_joint = (0 + mu) / denom
@@ -205,7 +209,7 @@ class TestPmi:
         probs = np.tile([0.9, 0.1], (10, 1))
         ds = ProbabilityDataset.from_arrays(probs, [0] * 5 + [1] * 5)
         with pytest.raises(ValidationError, match="class 1"):
-            pmi_vector(ds, mu=0.0)
+            pmi_from_counts(confusion(ds).counts, 0.0)
 
     def test_positive_smoothing_always_finite(self):
         rng = np.random.default_rng(3)
@@ -213,7 +217,7 @@ class TestPmi:
             n = int(rng.integers(2, 6))
             probs = rng.dirichlet(np.ones(n), size=30)
             ds = ProbabilityDataset.from_arrays(probs, rng.integers(0, n, 30))
-            assert np.all(np.isfinite(pmi_vector(ds, mu=1e-3)))
+            assert np.all(np.isfinite(pmi_from_counts(confusion(ds).counts, 1e-3)))
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,7 @@ from cobias import (
     batch_calibrate,
     cobias,
     evaluate,
-    predict,
+    predict_dataset,
 )
 from cobias.metrics import pmi_from_counts
 
@@ -84,10 +84,10 @@ class TestPredictProperties:
         if idx > k:
             idx = k
         rng = np.random.default_rng(idx * 31 + k)
-        probs = rng.dirichlet(np.ones(3))
+        ds = ProbabilityDataset.from_arrays([rng.dirichlet(np.ones(3))], [0])
         scale = WeightScale(k)
         sel = WeightSelection((idx,) * 3)
-        assert predict(probs, sel, scale) == predict(probs)
+        assert np.array_equal(predict_dataset(ds, sel, scale), predict_dataset(ds))
 
 
 class TestPmiProperties:
