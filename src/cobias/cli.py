@@ -440,8 +440,8 @@ def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     values = np.take_along_axis(scores, dataset.labels[:, None], axis=1)[:, 0]
     with Path(out_path).open("w") as fh:
         fh.write("class,value\n")
-        for label, value in zip(dataset.labels, values):
-            fh.write(f"{int(label)},{float(value)!r}\n")
+        for label, value in zip(dataset.labels.tolist(), values.tolist()):
+            fh.write(f"{label},{value!r}\n")
     click.echo(f"{dataset.num_samples} rows written to {out_path}")
 
 

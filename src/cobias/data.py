@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -160,6 +161,13 @@ class WeightSelection:
         return np.asarray(self.indices, dtype=np.float64) / scale.k_points
 
 
+def _json_integer(value, name: str) -> int:
+    # int() would truncate 4.9 and parse "4"; a count or a seed must be a JSON integer
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic biased dataset.
@@ -200,11 +208,13 @@ class SyntheticSpec:
             raise ValidationError("synthetic spec must be a JSON object")
         try:
             return cls(
-                num_classes=int(doc["num_classes"]),
-                samples_per_class=tuple(int(c) for c in doc["samples_per_class"]),
+                num_classes=_json_integer(doc["num_classes"], "num_classes"),
+                samples_per_class=tuple(
+                    _json_integer(c, "samples_per_class") for c in doc["samples_per_class"]
+                ),
                 confusion_bias=tuple(tuple(float(x) for x in row) for row in doc["confusion_bias"]),
                 concentration=float(doc["concentration"]),
-                seed=int(doc["seed"]),
+                seed=_json_integer(doc["seed"], "seed"),
             )
         except KeyError as exc:
             raise ValidationError(f"synthetic spec missing field {exc}") from exc
@@ -296,7 +306,36 @@ def _stratified_subsample(
 DATASET_FORMATS = ("jsonl", "csv")
 
 
-def _parse_jsonl(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
+def _parse_jsonl(lines: list[str]) -> tuple[np.ndarray | list, list[int]]:
+    """Parse JSONL rows with whole-file checks.
+
+    Any line these checks cannot vouch for sends the file through
+    ``_parse_jsonl_lines`` from line 0, which names the first bad line.
+    """
+    probs, labels = [], []
+    try:
+        for obj in map(json.loads, lines):  # keeps two fields, never the parsed dicts
+            probs.append(obj["probs"])
+            labels.append(obj["label"])
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return _parse_jsonl_lines(lines)
+    # json yields exact int/float/bool, so exact type sets state the
+    # per-line isinstance rules (bool is neither a number nor a label)
+    if (
+        set(map(type, probs)) == {list}
+        and set(map(len, probs)) == {len(probs[0])}
+        and len(probs[0]) >= 2
+        and set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}
+        and set(map(type, labels)) == {int}
+    ):
+        try:
+            return np.array(probs, dtype=np.float64), labels
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return _parse_jsonl_lines(lines)
+
+
+def _parse_jsonl_lines(lines: list[str]) -> tuple[list[list[float]], list[int]]:
     rows, labels = [], []
     width = None
     for lineno, line in enumerate(lines):
@@ -364,7 +403,30 @@ def _parse_number(token: str, lineno: int, what: str) -> float:
         raise DatasetFormatError(f"non-numeric {what} {token!r}", line=lineno) from None
 
 
-def _parse_csv(lines: Iterable[str]) -> tuple[list[list[float]], list[int]]:
+def _parse_csv(lines: list[str]) -> tuple[np.ndarray | list, np.ndarray | list]:
+    """Parse CSV rows through one ``np.loadtxt`` call.
+
+    Any file the call refuses, or whose labels are not integers in the int64 range,
+    goes through ``_parse_csv_lines``, which names the first bad line and
+    also reads the quoted fields, ``1_0`` and non-ASCII digits that
+    ``csv`` and ``float()`` accept and ``loadtxt`` does not.
+    """
+    # loadtxt skips empty lines, and warns when it reads no row; the loop rejects them
+    if not lines or "" in lines:
+        return _parse_csv_lines(lines)
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return _parse_csv_lines(lines)
+    probs, labels = table[:, :-1], table[:, -1]
+    if probs.shape[1] >= 2 and np.all(
+        (labels == np.trunc(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)
+    ):
+        return probs, labels.astype(np.int64)
+    return _parse_csv_lines(lines)
+
+
+def _parse_csv_lines(lines: list[str]) -> tuple[list[list[float]], list[int]]:
     rows, labels = [], []
     width = None
     for lineno, record in enumerate(csv.reader(lines)):
@@ -401,7 +463,7 @@ def load_dataset(path, fmt: str, renormalize: bool = False) -> ProbabilityDatase
         raise ValidationError(f"unknown dataset format {fmt!r}, expected one of {DATASET_FORMATS}")
     lines = read_utf8(path, DatasetFormatError).splitlines()
     rows, labels = _parse_jsonl(lines) if fmt == "jsonl" else _parse_csv(lines)
-    if not rows:
+    if len(rows) == 0:
         raise DatasetFormatError(f"no samples found in {path}")
     try:
         return ProbabilityDataset.from_arrays(rows, labels, renormalize=renormalize)

@@ -105,13 +105,15 @@ class ObjectiveConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ObjectiveConfig":
+        flags = {name: doc[name] for name in ("use_z1", "use_z2", "use_z3")}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
         return cls(
             beta=float(doc["beta"]),
             tau=float(doc["tau"]),
             mu=float(doc["mu"]),
-            use_z1=bool(doc["use_z1"]),
-            use_z2=bool(doc["use_z2"]),
-            use_z3=bool(doc["use_z3"]),
+            **flags,
         )
 
 

@@ -504,11 +504,29 @@ class TestGenerateAndCompare:
             (
                 {"num_classes": "x", "samples_per_class": [4, 4],
                  "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 9},
-                "error: synthetic spec has an invalid value: invalid literal for int() "
-                "with base 10: 'x'",
+                "error: synthetic spec has an invalid value: num_classes must be an integer, "
+                "got 'x'",
+            ),
+            (
+                {"num_classes": 2, "samples_per_class": [4.9, 3.5],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 1.9},
+                "error: synthetic spec has an invalid value: samples_per_class must be an "
+                "integer, got 4.9",
+            ),
+            (
+                {"num_classes": 2, "samples_per_class": [4, 4],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 1.9},
+                "error: synthetic spec has an invalid value: seed must be an integer, got 1.9",
+            ),
+            (
+                {"num_classes": True, "samples_per_class": ["4", "4"],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 9},
+                "error: synthetic spec has an invalid value: num_classes must be an integer, "
+                "got True",
             ),
         ],
-        ids=["list", "non-numeric-num-classes"],
+        ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
+             "bool-num-classes"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"

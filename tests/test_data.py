@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cobias import data
 from cobias import (
     ArtifactError,
     DatasetFormatError,
@@ -208,6 +211,167 @@ class TestLoadDataset:
             np.testing.assert_array_equal(back.labels, ds.labels)
 
 
+def _outcome(path, fmt):
+    """What loading a file yields: the dataset's bytes, or the one-line error."""
+    try:
+        ds = load_dataset(path, fmt)
+    except DatasetFormatError as exc:
+        return str(exc), exc.line
+    return ds.probs.tobytes(), ds.labels.tobytes(), ds.fingerprint()
+
+
+def _line_parser_outcome(path, fmt):
+    """The same with the per-line loops alone, the bulk parsers' reference."""
+    with mock.patch.object(data, "_parse_jsonl", data._parse_jsonl_lines), \
+            mock.patch.object(data, "_parse_csv", data._parse_csv_lines):
+        return _outcome(path, fmt)
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 25))
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1e-300])),
+                 min_size=n, max_size=n).filter(lambda r: sum(r) > 0),
+        min_size=m, max_size=m,
+    ))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return ProbabilityDataset.from_arrays(rows, labels, renormalize=True)
+
+
+def _number(p):
+    # integral values as JSON integers, so the bulk path also converts ints
+    return int(p) if p.is_integer() else p
+
+
+class TestBulkParsers:
+    """The bulk parsers accept the same files, build the same arrays and raise
+    the same messages as the per-line loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets())
+    def test_loads_are_bit_identical(self, tmp_path_factory, ds):
+        d = tmp_path_factory.mktemp("bulk")
+        expected = (ds.probs.tobytes(), ds.labels.tobytes(), ds.fingerprint())
+        save_dataset(ds, d / "a.jsonl", "jsonl")
+        save_dataset(ds, d / "a.csv", "csv")
+        rows = list(zip(ds.probs.tolist(), ds.labels.tolist()))
+        _write_lines(d / "b.jsonl", [
+            " " + json.dumps({"label": label, "probs": [_number(p) for p in probs]},
+                             separators=(" , ", " : ")) + "\t"
+            for probs, label in rows
+        ])
+        _write_lines(d / "b.csv", [
+            ", ".join(f" {p!r}" for p in probs) + f" ,{label}.0 " for probs, label in rows
+        ])
+        for name in ("a.jsonl", "b.jsonl", "a.csv", "b.csv"):
+            fmt = name.split(".")[1]
+            assert _outcome(d / name, fmt) == expected
+            assert _line_parser_outcome(d / name, fmt) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet='0123456789.eE+-_ \t"xnaifty１٣,', max_size=8),
+           st.integers(0, 2))
+    def test_any_csv_token_matches_the_line_parser(self, tmp_path_factory, token, column):
+        line = ["0.5", "0.5", "1"]
+        line[column] = token
+        path = _write_lines(tmp_path_factory.mktemp("token") / "d.csv",
+                            ["0.25,0.75,0", ",".join(line), "1.0,0.0,1"])
+        assert _outcome(path, "csv") == _line_parser_outcome(path, "csv")
+
+    # Messages as the per-line parsers gave them before the bulk parsers
+    # existed; each file is a good line 0, the corrupted line 1, a good line 2.
+    @pytest.mark.parametrize(
+        "fmt, bad, message",
+        [
+            ("jsonl", "", "line 1: blank line"),
+            ("jsonl", "  \t ", "line 1: blank line"),
+            ("jsonl", '{"probs":[0.2,0.3,0.5],"label":0}', "line 1: expected 2 probabilities, got 3"),
+            ("jsonl", '{"probs":[0.5,"x"],"label":0}', 'line 1: "probs" must be a list of numbers'),
+            ("jsonl", '{"probs":[0.5,0.5],"label":1.5}', 'line 1: "label" must be an integer'),
+            ("jsonl", '{"probs":[0.5,0.5],"label":NaN}', 'line 1: "label" must be an integer'),
+            ("jsonl", '{"probs":[0.5,0.5],"label":1e300}', 'line 1: "label" must be an integer'),
+            ("jsonl", '{"probs":[0.5,0.5],"label":%d}' % 10**30,
+             "line 1: sample 1: label beyond the 64-bit integer range"),
+            ("jsonl", '{"probs":[true,0.5],"label":0}', 'line 1: "probs" must be a list of numbers'),
+            ("jsonl", '{"probs":[%s,0.5],"label":0}' % ("1" * 400),
+             "line 1: probability too large for a float"),
+            ("jsonl", '{"probs":[0.5,0.5],"label":%s}' % ("1" * 400),
+             "line 1: sample 1: label beyond the 64-bit integer range"),
+            ("jsonl", "[0.5,0.5]", 'line 1: expected object with "probs" and "label"'),
+            ("jsonl", '{"probs":[0.7,0.7],"label":0}',
+             "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
+             "(pass renormalize=True to rescale rows)"),
+            ("jsonl", '{"probs":[1.5,-0.5],"label":0}', "line 1: negative probability in sample 1"),
+            ("jsonl", '{"probs":[0.5,0.5],"label":3}', "line 1: sample 1: label 3 outside [0, 1]"),
+            ("csv", "", "line 1: blank line"),
+            ("csv", "  \t ", "line 1: blank line"),
+            ("csv", "0.2,0.3,0.5,0", "line 1: expected 3 columns, got 4"),
+            ("csv", "0.5,x,1", "line 1: non-numeric probability 'x'"),
+            ("csv", "0.5,0.5,1.5", "line 1: label '1.5' is not an integer"),
+            ("csv", "0.5,0.5,nan", "line 1: label 'nan' is not an integer"),
+            ("csv", "0.5,0.5,1e300", "line 1: sample 1: label beyond the 64-bit integer range"),
+            ("csv", "0.5,0.5,%d" % 10**30, "line 1: sample 1: label beyond the 64-bit integer range"),
+            ("csv", "0.5,0.5,%d" % 2**63, "line 1: sample 1: label beyond the 64-bit integer range"),
+            ("csv", "0.5,0.5,%d" % -(2**63),
+             "line 1: sample 1: label -9223372036854775808 outside [0, 1]"),
+            ("csv", "true,0.5,1", "line 1: non-numeric probability 'true'"),
+            ("csv", "%s,0.5,1" % ("1" * 400), "line 1: non-finite probability in sample 1"),
+            ("csv", "0.5,0.5,%s" % ("1" * 400), "line 1: label '%s' is not an integer" % ("1" * 400)),
+            ("csv", "0.7,0.7,0",
+             "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
+             "(pass renormalize=True to rescale rows)"),
+            ("csv", "1.5,-0.5,0", "line 1: negative probability in sample 1"),
+            ("csv", "0.5,0.5,3", "line 1: sample 1: label 3 outside [0, 1]"),
+        ],
+    )
+    def test_single_line_corruption_keeps_its_message(self, tmp_path, fmt, bad, message):
+        good = '{"probs":[0.5,0.5],"label":0}' if fmt == "jsonl" else "0.5,0.5,0"
+        path = _write_lines(tmp_path / f"d.{fmt}", [good, bad, good])
+        assert _outcome(path, fmt) == (message, 1)
+
+    @pytest.mark.parametrize(
+        "fmt, lines, message, line",
+        [
+            # an earlier format error wins over a later one of another kind
+            ("jsonl", ['{"probs":[0.5,0.5],"label":0}', '{"probs":[0.2,0.3,0.5],"label":0}',
+                       '{"probs":[0.5,0.5],"label":1.5}'],
+             "line 1: expected 2 probabilities, got 3", 1),
+            ("csv", ["0.5,0.5,0", "0.2,0.3,0.5,0", "0.5,0.5,1.5"],
+             "line 1: expected 3 columns, got 4", 1),
+            # every format error wins over an earlier out-of-range label
+            ("jsonl", ['{"probs":[0.5,0.5],"label":0}', '{"probs":[0.5,0.5],"label":%d}' % 10**30,
+                       '{"probs":[0.2,0.3,0.5],"label":0}'],
+             "line 2: expected 2 probabilities, got 3", 2),
+            ("csv", ["0.5,0.5,0", "0.5,0.5,%d" % 10**30, "0.2,0.3,0.5,0"],
+             "line 2: expected 3 columns, got 4", 2),
+            # one class throughout is a format error, not a dataset error
+            ("jsonl", ['{"probs":[1.0],"label":0}'] * 2, "line 0: need at least 2 classes, got 1", 0),
+            ("csv", ["1.0,0"] * 2, "line 0: need at least 2 probability columns, got 1", 0),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, fmt, lines, message, line):
+        path = _write_lines(tmp_path / f"d.{fmt}", lines)
+        assert _outcome(path, fmt) == (message, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['"0.25","0.75","1"', "0.2_5,0.7_5,1", "０.25,0.75,１", "0.25,0.75,١"],
+        ids=["quoted", "underscore", "full-width", "arabic-indic"],
+    )
+    def test_forms_loadtxt_refuses_still_load(self, tmp_path, line):
+        path = _write_lines(tmp_path / "d.csv", ["0.5,0.5,0", line])
+        ds = load_dataset(path, "csv")
+        assert ds.probs.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert ds.labels.tolist() == [0, 1]
+
+
 class TestGenerateSynthetic:
     def test_identity_bias_gives_perfect_accuracy(self):
         spec = SyntheticSpec(
@@ -331,6 +495,18 @@ class TestArtifactRoundTrip:
         del doc["provenance"]["dataset_fingerprint"]
         p.write_text(json.dumps(doc))
         with pytest.raises(ArtifactError):
+            load_artifact(p)
+
+    @pytest.mark.parametrize("flag, value", [("use_z1", "false"), ("use_z3", "no"),
+                                             ("use_z2", 0), ("use_z1", None)])
+    def test_term_flags_must_be_json_booleans(self, tmp_path, flag, value):
+        p = tmp_path / "a.json"
+        save_artifact(_make_artifact(), p)
+        doc = json.loads(p.read_text())
+        doc["objective_config"][flag] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match=f"artifact schema violation.*{flag} must be "
+                                                "a JSON boolean"):
             load_artifact(p)
 
     def test_tampered_coefficients_rejected(self, tmp_path):
