@@ -194,7 +194,15 @@ def _write_json(doc: dict, path: str | None) -> None:
         Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _check_artifact(artifact: ReweightArtifact, dataset: ProbabilityDataset) -> None:
+def _load_with_artifact(
+    dataset_path: str, artifact_path: str | None, fmt: str | None, renormalize: bool
+) -> tuple[ProbabilityDataset, ReweightArtifact | None]:
+    """Load the artifact, if any, before the dataset, so that a missing or
+    malformed artifact fails before a full parse; then check they match."""
+    artifact = None if artifact_path is None else load_artifact(artifact_path)
+    dataset = _load(dataset_path, fmt, renormalize)
+    if artifact is None:
+        return dataset, None
     if artifact.num_classes != dataset.num_classes:
         raise ValidationError(
             f"artifact was trained for {artifact.num_classes} classes but the "
@@ -205,6 +213,7 @@ def _check_artifact(artifact: ReweightArtifact, dataset: ProbabilityDataset) -> 
             "dataset fingerprint differs from the one recorded in the "
             "artifact; weights were learned on different data"
         )
+    return dataset, artifact
 
 
 @click.group()
@@ -225,11 +234,9 @@ def main():
 @_handle_errors
 def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Report confusion matrix, accuracies, imbalance metrics, and PMI."""
-    dataset = _load(dataset_path, fmt, renormalize)
+    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
     selection = scale = None
-    if artifact_path is not None:
-        artifact = load_artifact(artifact_path)
-        _check_artifact(artifact, dataset)
+    if artifact is not None:
         selection, scale = artifact.selection, artifact.scale
     doc = report_document(dataset, selection, scale, mu=mu)
     _print_report(doc)
@@ -247,9 +254,7 @@ def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
 @_handle_errors
 def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Reweight a dataset with a learned artifact and report the metrics."""
-    dataset = _load(dataset_path, fmt, renormalize)
-    artifact = load_artifact(artifact_path)
-    _check_artifact(artifact, dataset)
+    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
     doc = report_document(dataset, artifact.selection, artifact.scale, mu=mu)
     _print_report(doc)
     _write_json(doc, json_path)
@@ -428,16 +433,11 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
 def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     """Export each sample's (optionally reweighted) ground-truth-class
     probability as plot-ready long-format rows."""
-    dataset = _load(dataset_path, fmt, renormalize)
-    coeffs = None
-    if artifact_path is not None:
-        artifact = load_artifact(artifact_path)
-        _check_artifact(artifact, dataset)
-        coeffs = artifact.coefficients
-    scores = weighted_scores(dataset.probs, coeffs)
-    if not raw:
-        scores = scores / scores.sum(axis=1, keepdims=True)
+    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
+    scores = weighted_scores(dataset.probs, None if artifact is None else artifact.coefficients)
     values = np.take_along_axis(scores, dataset.labels[:, None], axis=1)[:, 0]
+    if not raw:  # the same division per element as normalizing every row first
+        values = values / scores.sum(axis=1)
     with Path(out_path).open("w") as fh:
         fh.write("class,value\n")
         for label, value in zip(dataset.labels.tolist(), values.tolist()):

@@ -304,21 +304,51 @@ def _stratified_subsample(
 # ---------------------------------------------------------------------------
 
 DATASET_FORMATS = ("jsonl", "csv")
+_CHUNK_CHARS = 1 << 18  # text parsed per chunk; bounds the rows held as Python objects
 
 
-def _parse_jsonl(lines: list[str]) -> tuple[np.ndarray | list, list[int]]:
-    """Parse JSONL rows with whole-file checks.
+def _chunk_lines(text: str):
+    """Yield ``text.splitlines()`` in pieces of about ``_CHUNK_CHARS`` characters.
 
-    Any line these checks cannot vouch for sends the file through
-    ``_parse_jsonl_lines`` from line 0, which names the first bad line.
+    Each piece of text ends right after a "\\n", so no line (nor a "\\r\\n")
+    is split and the pieces together hold exactly the lines of ``text``.
     """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _parse_chunked(text: str, parse_block, parse_lines):
+    """Parse ``text`` one chunk of lines at a time into float64/int64 blocks.
+
+    ``parse_block`` returns a chunk's (probs, labels) arrays, or None when
+    its checks cannot vouch for every line. Then, or when the width changes
+    between chunks, ``parse_lines`` parses the file from line 0 and names the
+    first bad line.
+    """
+    probs, labels = [], []
+    for lines in _chunk_lines(text):
+        block = parse_block(lines)
+        if block is None or (probs and block[0].shape[1] != probs[0].shape[1]):
+            return parse_lines(text.splitlines())
+        probs.append(block[0])
+        labels.append(block[1])
+    if not probs:  # an empty file
+        return [], []
+    return np.concatenate(probs), np.concatenate(labels)
+
+
+def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse JSONL rows with whole-chunk checks; None if any line fails them."""
     probs, labels = [], []
     try:
         for obj in map(json.loads, lines):  # keeps two fields, never the parsed dicts
             probs.append(obj["probs"])
             labels.append(obj["label"])
     except (ValueError, TypeError, KeyError, RecursionError):
-        return _parse_jsonl_lines(lines)
+        return None
     # json yields exact int/float/bool, so exact type sets state the
     # per-line isinstance rules (bool is neither a number nor a label)
     if (
@@ -329,10 +359,10 @@ def _parse_jsonl(lines: list[str]) -> tuple[np.ndarray | list, list[int]]:
         and set(map(type, labels)) == {int}
     ):
         try:
-            return np.array(probs, dtype=np.float64), labels
-        except OverflowError:  # an integer beyond the float range
+            return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64)
+        except OverflowError:  # a probability beyond the float range, a label beyond int64
             pass
-    return _parse_jsonl_lines(lines)
+    return None
 
 
 def _parse_jsonl_lines(lines: list[str]) -> tuple[list[list[float]], list[int]]:
@@ -403,27 +433,27 @@ def _parse_number(token: str, lineno: int, what: str) -> float:
         raise DatasetFormatError(f"non-numeric {what} {token!r}", line=lineno) from None
 
 
-def _parse_csv(lines: list[str]) -> tuple[np.ndarray | list, np.ndarray | list]:
+def _csv_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse CSV rows through one ``np.loadtxt`` call.
 
-    Any file the call refuses, or whose labels are not integers in the int64 range,
-    goes through ``_parse_csv_lines``, which names the first bad line and
-    also reads the quoted fields, ``1_0`` and non-ASCII digits that
-    ``csv`` and ``float()`` accept and ``loadtxt`` does not.
+    None for any chunk the call refuses, or whose labels are not integers in
+    the int64 range; ``_parse_csv_lines`` then names the first bad line and
+    also reads the quoted fields, ``1_0`` and non-ASCII digits that ``csv``
+    and ``float()`` accept and ``loadtxt`` does not.
     """
     # loadtxt skips empty lines, and warns when it reads no row; the loop rejects them
-    if not lines or "" in lines:
-        return _parse_csv_lines(lines)
+    if "" in lines:
+        return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
-        return _parse_csv_lines(lines)
+        return None
     probs, labels = table[:, :-1], table[:, -1]
     if probs.shape[1] >= 2 and np.all(
         (labels == np.trunc(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)
     ):
         return probs, labels.astype(np.int64)
-    return _parse_csv_lines(lines)
+    return None
 
 
 def _parse_csv_lines(lines: list[str]) -> tuple[list[list[float]], list[int]]:
@@ -461,8 +491,11 @@ def load_dataset(path, fmt: str, renormalize: bool = False) -> ProbabilityDatase
     """
     if fmt not in DATASET_FORMATS:
         raise ValidationError(f"unknown dataset format {fmt!r}, expected one of {DATASET_FORMATS}")
-    lines = read_utf8(path, DatasetFormatError).splitlines()
-    rows, labels = _parse_jsonl(lines) if fmt == "jsonl" else _parse_csv(lines)
+    text = read_utf8(path, DatasetFormatError)
+    if fmt == "jsonl":
+        rows, labels = _parse_chunked(text, _jsonl_block, _parse_jsonl_lines)
+    else:
+        rows, labels = _parse_chunked(text, _csv_block, _parse_csv_lines)
     if len(rows) == 0:
         raise DatasetFormatError(f"no samples found in {path}")
     try:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,25 @@ class TestOptimizeAndApply:
             "artifact; weights were learned on different data"
         ]
 
+    @pytest.mark.parametrize("command", ["apply", "density", "evaluate"])
+    def test_artifact_is_read_before_the_dataset(self, runner, tmp_path, command):
+        # a malformed artifact fails with its own error before any dataset
+        # is read, so a missing dataset does not turn it into an i/o error
+        artifact, missing = str(tmp_path / "a.json"), str(tmp_path / "missing.jsonl")
+        Path(artifact).write_text('{"kind": "reweight_artifact", "schema_version": 1}\n')
+        args = {
+            "apply": ["apply", missing, artifact],
+            "density": ["density", missing, "--artifact", artifact,
+                        "--out", str(tmp_path / "d.csv")],
+            "evaluate": ["evaluate", missing, "--artifact", artifact],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: artifact schema violation: KeyError('k_points')"
+        ]
+
 
 class TestWarnings:
     @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
@@ -422,6 +442,11 @@ class TestDensity:
         assert result.exit_code == 0
         values = [float(l.split(",")[1]) for l in out.read_text().splitlines()[1:]]
         assert all(0.0 <= v <= 1.0 for v in values)
+        # the true-class score over the row sum, as from normalizing every row first
+        ds = load_dataset(opt, "jsonl")
+        scores = ds.probs * load_artifact(artifact).coefficients
+        normalized = scores / scores.sum(axis=1, keepdims=True)
+        assert values == normalized[np.arange(ds.num_samples), ds.labels].tolist()
 
     def test_correction_shifts_underpredicted_class_upward(
         self, runner, tmp_path, biased_pair, trained_full_objective

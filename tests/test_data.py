@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from cobias import (
     save_artifact,
     save_dataset,
 )
+
+from helpers import random_dataset
 
 
 class TestProbabilityDataset:
@@ -193,6 +196,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="no samples"):
             load_dataset(p, "jsonl")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_peak_memory_stays_near_the_file_size(self, tmp_path, fmt):
+        # the text and the arrays, never a Python object per row and number
+        p = tmp_path / f"d.{fmt}"
+        save_dataset(random_dataset(np.random.default_rng(0), 20_000, 10), p, fmt)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            load_dataset(p, fmt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.5 * p.stat().st_size
+
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"probs":[0.5,0.5],"label":0}\n')
@@ -222,8 +242,9 @@ def _outcome(path, fmt):
 
 def _line_parser_outcome(path, fmt):
     """The same with the per-line loops alone, the bulk parsers' reference."""
-    with mock.patch.object(data, "_parse_jsonl", data._parse_jsonl_lines), \
-            mock.patch.object(data, "_parse_csv", data._parse_csv_lines):
+    refuse = lambda lines: None  # noqa: E731  sends every file to the loops from line 0
+    with mock.patch.object(data, "_jsonl_block", refuse), \
+            mock.patch.object(data, "_csv_block", refuse):
         return _outcome(path, fmt)
 
 
@@ -250,13 +271,61 @@ def _number(p):
     return int(p) if p.is_integer() else p
 
 
+# Messages as the per-line parsers gave them before the bulk parsers existed,
+# for one corrupted line at line 1 of a file of good lines.
+_CORRUPTIONS = [
+    ("jsonl", "", "line 1: blank line"),
+    ("jsonl", "  \t ", "line 1: blank line"),
+    ("jsonl", '{"probs":[0.2,0.3,0.5],"label":0}', "line 1: expected 2 probabilities, got 3"),
+    ("jsonl", '{"probs":[0.5,"x"],"label":0}', 'line 1: "probs" must be a list of numbers'),
+    ("jsonl", '{"probs":[0.5,0.5],"label":1.5}', 'line 1: "label" must be an integer'),
+    ("jsonl", '{"probs":[0.5,0.5],"label":NaN}', 'line 1: "label" must be an integer'),
+    ("jsonl", '{"probs":[0.5,0.5],"label":1e300}', 'line 1: "label" must be an integer'),
+    ("jsonl", '{"probs":[0.5,0.5],"label":%d}' % 10**30,
+     "line 1: sample 1: label beyond the 64-bit integer range"),
+    ("jsonl", '{"probs":[true,0.5],"label":0}', 'line 1: "probs" must be a list of numbers'),
+    ("jsonl", '{"probs":[%s,0.5],"label":0}' % ("1" * 400),
+     "line 1: probability too large for a float"),
+    ("jsonl", '{"probs":[0.5,0.5],"label":%s}' % ("1" * 400),
+     "line 1: sample 1: label beyond the 64-bit integer range"),
+    ("jsonl", "[0.5,0.5]", 'line 1: expected object with "probs" and "label"'),
+    ("jsonl", '{"probs":[0.7,0.7],"label":0}',
+     "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
+     "(pass renormalize=True to rescale rows)"),
+    ("jsonl", '{"probs":[1.5,-0.5],"label":0}', "line 1: negative probability in sample 1"),
+    ("jsonl", '{"probs":[0.5,0.5],"label":3}', "line 1: sample 1: label 3 outside [0, 1]"),
+    ("csv", "", "line 1: blank line"),
+    ("csv", "  \t ", "line 1: blank line"),
+    ("csv", "0.2,0.3,0.5,0", "line 1: expected 3 columns, got 4"),
+    ("csv", "0.5,x,1", "line 1: non-numeric probability 'x'"),
+    ("csv", "0.5,0.5,1.5", "line 1: label '1.5' is not an integer"),
+    ("csv", "0.5,0.5,nan", "line 1: label 'nan' is not an integer"),
+    ("csv", "0.5,0.5,1e300", "line 1: sample 1: label beyond the 64-bit integer range"),
+    ("csv", "0.5,0.5,%d" % 10**30, "line 1: sample 1: label beyond the 64-bit integer range"),
+    ("csv", "0.5,0.5,%d" % 2**63, "line 1: sample 1: label beyond the 64-bit integer range"),
+    ("csv", "0.5,0.5,%d" % -(2**63),
+     "line 1: sample 1: label -9223372036854775808 outside [0, 1]"),
+    ("csv", "true,0.5,1", "line 1: non-numeric probability 'true'"),
+    ("csv", "%s,0.5,1" % ("1" * 400), "line 1: non-finite probability in sample 1"),
+    ("csv", "0.5,0.5,%s" % ("1" * 400), "line 1: label '%s' is not an integer" % ("1" * 400)),
+    ("csv", "0.7,0.7,0",
+     "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
+     "(pass renormalize=True to rescale rows)"),
+    ("csv", "1.5,-0.5,0", "line 1: negative probability in sample 1"),
+    ("csv", "0.5,0.5,3", "line 1: sample 1: label 3 outside [0, 1]"),
+]
+
+_GOOD_LINE = {"jsonl": '{"probs":[0.5,0.5],"label":0}', "csv": "0.5,0.5,0"}
+
+
 class TestBulkParsers:
     """The bulk parsers accept the same files, build the same arrays and raise
     the same messages as the per-line loops."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(datasets())
-    def test_loads_are_bit_identical(self, tmp_path_factory, ds):
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), st.one_of(st.just(data._CHUNK_CHARS), st.integers(1, 120)))
+    def test_loads_are_bit_identical(self, tmp_path_factory, ds, chunk):
+        # a small chunk makes rows straddle many chunks
         d = tmp_path_factory.mktemp("bulk")
         expected = (ds.probs.tobytes(), ds.labels.tobytes(), ds.fingerprint())
         save_dataset(ds, d / "a.jsonl", "jsonl")
@@ -272,8 +341,81 @@ class TestBulkParsers:
         ])
         for name in ("a.jsonl", "b.jsonl", "a.csv", "b.csv"):
             fmt = name.split(".")[1]
-            assert _outcome(d / name, fmt) == expected
+            with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+                assert _outcome(d / name, fmt) == expected
             assert _line_parser_outcome(d / name, fmt) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab\r\n\x0b\x0c\x1c\x85\u2028\u2029", max_size=30),
+           st.integers(1, 8))
+    def test_chunks_hold_the_lines_of_the_text(self, text, chunk):
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            pieces = list(data._chunk_lines(text))
+        assert [line for piece in pieces for line in piece] == text.splitlines()
+
+    @pytest.mark.parametrize("fmt, bad, message", _CORRUPTIONS)
+    def test_corruption_in_a_later_chunk_keeps_its_message(self, tmp_path, fmt, bad, message):
+        good = _GOOD_LINE[fmt]
+        path = _write_lines(tmp_path / f"d.{fmt}", [good] * 40 + [bad] + [good] * 3)
+        with mock.patch.object(data, "_CHUNK_CHARS", 100):
+            assert len(list(data._chunk_lines(path.read_text()))) > 3
+            outcome = _outcome(path, fmt)
+        expected = message.replace("line 1:", "line 40:").replace("sample 1", "sample 40")
+        assert outcome == (expected, 40)
+        assert outcome == _line_parser_outcome(path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"])
+    def test_line_breaks_at_every_chunk_edge(self, tmp_path, fmt, sep):
+        rows = [([0.25, 0.75], 1), ([0.5, 0.5], 0), ([1.0, 0.0], 0), ([0.125, 0.875], 1)] * 2
+        lines = [json.dumps({"probs": p, "label": y}) if fmt == "jsonl"
+                 else ",".join(map(repr, p + [y])) for p, y in rows]
+        # every other line ends in ``sep`` instead of "\n"
+        text = "".join(line + (sep if i % 2 else "\n") for i, line in enumerate(lines))
+        path = tmp_path / f"d.{fmt}"
+        path.write_bytes(text.encode())
+        expected = _outcome(path, fmt)
+        assert expected == _line_parser_outcome(path, fmt)
+        assert load_dataset(path, fmt).labels.tolist() == [y for _, y in rows]
+        for chunk in range(1, len(text) + 1):
+            with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+                assert _outcome(path, fmt) == expected, chunk
+
+    @pytest.mark.parametrize("fmt, wide, message", [
+        ("jsonl", '{"probs":[0.25,0.25,0.5],"label":0}', "line 2: expected 2 probabilities, got 3"),
+        ("csv", "0.25,0.25,0.5,0", "line 2: expected 3 columns, got 4"),
+    ])
+    def test_width_change_between_chunks(self, tmp_path, fmt, wide, message):
+        # one line per chunk, so each chunk is consistent on its own
+        path = _write_lines(tmp_path / f"d.{fmt}", [_GOOD_LINE[fmt]] * 2 + [wide] * 2)
+        with mock.patch.object(data, "_CHUNK_CHARS", 1):
+            assert [len(piece) for piece in data._chunk_lines(path.read_text())] == [1] * 4
+            assert _outcome(path, fmt) == (message, 2)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("content, message, line", [
+        ("", "no samples found", None),
+        ("\n", "line 0: blank line", 0),
+    ])
+    def test_empty_file_in_chunks(self, tmp_path, fmt, content, message, line):
+        path = tmp_path / f"d.{fmt}"
+        path.write_text(content)
+        with mock.patch.object(data, "_CHUNK_CHARS", 1):
+            got, got_line = _outcome(path, fmt)
+        assert message in got and got_line == line
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_chunk_plus_one_line(self, tmp_path, fmt):
+        lines = [f"0.5,0.5,{i % 2}" if fmt == "csv" else
+                 '{"probs":[0.5,0.5],"label":%d}' % (i % 2) for i in range(9)]
+        path = _write_lines(tmp_path / f"d.{fmt}", lines)
+        text = path.read_text()
+        # the search for the cut starts on the "\n" that ends line 7
+        with mock.patch.object(data, "_CHUNK_CHARS", 8 * (len(lines[0]) + 1) - 1):
+            assert [len(piece) for piece in data._chunk_lines(text)] == [8, 1]
+            outcome = _outcome(path, fmt)
+        assert outcome == _outcome(path, fmt) == _line_parser_outcome(path, fmt)
+        assert np.frombuffer(outcome[1], dtype=np.int64).tolist() == [i % 2 for i in range(9)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet='0123456789.eE+-_ \t"xnaifty１٣,', max_size=8),
@@ -285,54 +427,10 @@ class TestBulkParsers:
                             ["0.25,0.75,0", ",".join(line), "1.0,0.0,1"])
         assert _outcome(path, "csv") == _line_parser_outcome(path, "csv")
 
-    # Messages as the per-line parsers gave them before the bulk parsers
-    # existed; each file is a good line 0, the corrupted line 1, a good line 2.
-    @pytest.mark.parametrize(
-        "fmt, bad, message",
-        [
-            ("jsonl", "", "line 1: blank line"),
-            ("jsonl", "  \t ", "line 1: blank line"),
-            ("jsonl", '{"probs":[0.2,0.3,0.5],"label":0}', "line 1: expected 2 probabilities, got 3"),
-            ("jsonl", '{"probs":[0.5,"x"],"label":0}', 'line 1: "probs" must be a list of numbers'),
-            ("jsonl", '{"probs":[0.5,0.5],"label":1.5}', 'line 1: "label" must be an integer'),
-            ("jsonl", '{"probs":[0.5,0.5],"label":NaN}', 'line 1: "label" must be an integer'),
-            ("jsonl", '{"probs":[0.5,0.5],"label":1e300}', 'line 1: "label" must be an integer'),
-            ("jsonl", '{"probs":[0.5,0.5],"label":%d}' % 10**30,
-             "line 1: sample 1: label beyond the 64-bit integer range"),
-            ("jsonl", '{"probs":[true,0.5],"label":0}', 'line 1: "probs" must be a list of numbers'),
-            ("jsonl", '{"probs":[%s,0.5],"label":0}' % ("1" * 400),
-             "line 1: probability too large for a float"),
-            ("jsonl", '{"probs":[0.5,0.5],"label":%s}' % ("1" * 400),
-             "line 1: sample 1: label beyond the 64-bit integer range"),
-            ("jsonl", "[0.5,0.5]", 'line 1: expected object with "probs" and "label"'),
-            ("jsonl", '{"probs":[0.7,0.7],"label":0}',
-             "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
-             "(pass renormalize=True to rescale rows)"),
-            ("jsonl", '{"probs":[1.5,-0.5],"label":0}', "line 1: negative probability in sample 1"),
-            ("jsonl", '{"probs":[0.5,0.5],"label":3}', "line 1: sample 1: label 3 outside [0, 1]"),
-            ("csv", "", "line 1: blank line"),
-            ("csv", "  \t ", "line 1: blank line"),
-            ("csv", "0.2,0.3,0.5,0", "line 1: expected 3 columns, got 4"),
-            ("csv", "0.5,x,1", "line 1: non-numeric probability 'x'"),
-            ("csv", "0.5,0.5,1.5", "line 1: label '1.5' is not an integer"),
-            ("csv", "0.5,0.5,nan", "line 1: label 'nan' is not an integer"),
-            ("csv", "0.5,0.5,1e300", "line 1: sample 1: label beyond the 64-bit integer range"),
-            ("csv", "0.5,0.5,%d" % 10**30, "line 1: sample 1: label beyond the 64-bit integer range"),
-            ("csv", "0.5,0.5,%d" % 2**63, "line 1: sample 1: label beyond the 64-bit integer range"),
-            ("csv", "0.5,0.5,%d" % -(2**63),
-             "line 1: sample 1: label -9223372036854775808 outside [0, 1]"),
-            ("csv", "true,0.5,1", "line 1: non-numeric probability 'true'"),
-            ("csv", "%s,0.5,1" % ("1" * 400), "line 1: non-finite probability in sample 1"),
-            ("csv", "0.5,0.5,%s" % ("1" * 400), "line 1: label '%s' is not an integer" % ("1" * 400)),
-            ("csv", "0.7,0.7,0",
-             "line 1: sample 1: probabilities sum to 1.40000000, expected 1 within 1e-06 "
-             "(pass renormalize=True to rescale rows)"),
-            ("csv", "1.5,-0.5,0", "line 1: negative probability in sample 1"),
-            ("csv", "0.5,0.5,3", "line 1: sample 1: label 3 outside [0, 1]"),
-        ],
-    )
+    # each file is a good line 0, the corrupted line 1, a good line 2
+    @pytest.mark.parametrize("fmt, bad, message", _CORRUPTIONS)
     def test_single_line_corruption_keeps_its_message(self, tmp_path, fmt, bad, message):
-        good = '{"probs":[0.5,0.5],"label":0}' if fmt == "jsonl" else "0.5,0.5,0"
+        good = _GOOD_LINE[fmt]
         path = _write_lines(tmp_path / f"d.{fmt}", [good, bad, good])
         assert _outcome(path, fmt) == (message, 1)
 
