@@ -58,6 +58,8 @@ class AnnealSchedule:
             raise ValidationError("lambda must be positive")
         if self.max_accepted is not None and self.max_accepted < 1:
             raise ValidationError("max_accepted must be positive")
+        if self.seed < 0:  # numpy seeds a generator from nonnegative integers only
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     def proposals_per_temperature(self, num_classes: int, k_points: int) -> int:
         return math.ceil(self.lam * num_classes * k_points)

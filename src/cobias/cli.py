@@ -390,6 +390,12 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
     config = _config(terms, beta, tau, mu)
     schedules = {s: _schedule(tmax, tmin, alpha, lam, max_accepted, s) for s in seed_list}
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
+    m = opt_set.num_samples
+    for size in size_list:  # all sizes before the first anneal, so no run stops partway
+        if not 1 <= size <= m:
+            raise ValidationError(
+                f"size {size} outside [1, {m}]: the optimization set has {m} samples"
+            )
     rows = []
     for size in size_list:
         accs, cbs = [], []

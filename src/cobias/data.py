@@ -13,6 +13,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -201,6 +204,8 @@ class SyntheticSpec:
             raise ValidationError("confusion_bias rows must sum to 1 within 1e-9")
         if not self.concentration > 0:
             raise ValidationError("concentration must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc) -> "SyntheticSpec":
@@ -307,17 +312,86 @@ DATASET_FORMATS = ("jsonl", "csv")
 _CHUNK_CHARS = 1 << 18  # text parsed per chunk; bounds the rows held as Python objects
 
 
-def _chunk_lines(text: str):
-    """Yield ``text.splitlines()`` in pieces of about ``_CHUNK_CHARS`` characters.
+def _chunk_lines(text: str, start: int = 0, stop: int | None = None):
+    """Yield ``text[start:stop].splitlines()`` in pieces of about ``_CHUNK_CHARS`` characters.
 
     Each piece of text ends right after a "\\n", so no line (nor a "\\r\\n")
-    is split and the pieces together hold exactly the lines of ``text``.
+    is split and the pieces together hold exactly the lines of the span.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+    stop = len(text) if stop is None else stop
+    while start < stop:
+        end = text.find("\n", start + _CHUNK_CHARS, stop) + 1 or stop
         yield text[start:end].splitlines()
         start = end
+
+
+def _parse_blocks(text: str, parse_block, start: int, stop: int):
+    """The (probs, labels) blocks of the chunks of ``text[start:stop]`` in
+    order, or None once a chunk is refused or changes the width."""
+    blocks = []
+    for lines in _chunk_lines(text, start, stop):
+        block = parse_block(lines)
+        if block is None or (blocks and block[0].shape[1] != blocks[0][0].shape[1]):
+            return None
+        blocks.append(block)
+    return blocks
+
+
+def _join(blocks):
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_blocks_in_two(text: str, parse_block, mid: int):
+    """``_parse_blocks`` over all of ``text``, ``text[mid:]`` in a forked child.
+
+    The child pickles its blocks (or None) into a pipe and leaves through
+    ``os._exit``, so it runs no cleanup and flushes no inherited buffer. Its
+    blocks count only if they unpickle and it exits 0. A child whose blocks
+    are not needed is killed, and it is always reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on any fork once numpy's BLAS pool has started;
+        # the child parses text and touches no BLAS
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                second = _parse_blocks(text, parse_block, mid, len(text))
+                if second:  # two large arrays, not two per chunk, leave the parent a lower peak
+                    second = [_join(second)]
+                pickle.dump(second, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    first = second = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = _parse_blocks(text, parse_block, 0, mid)
+            if first is not None:
+                try:
+                    second = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child died mid-dump
+                    pass
+    finally:
+        if second is None:  # its blocks will not be read, so it need not finish
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if first is None or second is None or os.waitstatus_to_exitcode(status) != 0:
+        return None
+    return first + second
 
 
 def _parse_chunked(text: str, parse_block, parse_lines):
@@ -326,18 +400,26 @@ def _parse_chunked(text: str, parse_block, parse_lines):
     ``parse_block`` returns a chunk's (probs, labels) arrays, or None when
     its checks cannot vouch for every line. Then, or when the width changes
     between chunks, ``parse_lines`` parses the file from line 0 and names the
-    first bad line.
+    first bad line. Where a fork and a second CPU are available, text longer
+    than two chunks is split right after the first "\\n" at or past its
+    midpoint and parsed by two processes; a forked child reads the text
+    without a copy.
     """
-    probs, labels = [], []
-    for lines in _chunk_lines(text):
-        block = parse_block(lines)
-        if block is None or (probs and block[0].shape[1] != probs[0].shape[1]):
-            return parse_lines(text.splitlines())
-        probs.append(block[0])
-        labels.append(block[1])
-    if not probs:  # an empty file
+    mid = text.find("\n", len(text) // 2) + 1
+    if (
+        len(text) > 2 * _CHUNK_CHARS
+        and 0 < mid < len(text)
+        and hasattr(os, "fork")
+        and _usable_cpus() > 1
+    ):
+        blocks = _parse_blocks_in_two(text, parse_block, mid)
+    else:
+        blocks = _parse_blocks(text, parse_block, 0, len(text))
+    if blocks is None or len({probs.shape[1] for probs, _ in blocks}) > 1:
+        return parse_lines(text.splitlines())
+    if not blocks:  # an empty file
         return [], []
-    return np.concatenate(probs), np.concatenate(labels)
+    return _join(blocks)
 
 
 def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:

@@ -29,6 +29,9 @@ class TestSchedule:
             AnnealSchedule(lam=0.0)
         with pytest.raises(ValidationError):
             AnnealSchedule(max_accepted=0)
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            AnnealSchedule(seed=-1)
+        assert AnnealSchedule(seed=0).seed == 0
 
     def test_default_acceptance_limit(self):
         s = AnnealSchedule()

@@ -1,10 +1,13 @@
 import json
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cobias import data
 from cobias import (
     ObjectiveConfig,
     ProbabilityDataset,
@@ -214,6 +217,25 @@ class TestOptimizeAndApply:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    def test_negative_seed_rejected_before_any_work(self, runner, tmp_path, command):
+        # numpy refuses a negative seed; the schedule is checked before any
+        # dataset is read, so optimize prints no "before:" line first
+        opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
+        out = tmp_path / "a.json"
+        missing = [str(tmp_path / "missing-opt.jsonl"), str(tmp_path / "missing-test.jsonl")]
+        args = {
+            "optimize": ["optimize", opt, "--out", str(out), "--seed", "-1"],
+            "ablate": ["ablate", *missing, "--json", str(out), "--seed", "-1"],
+            "sweep": ["sweep", *missing, "--sizes", "30", "--seeds", "0,-1", "--json", str(out)],
+            "compare": ["compare", *missing, "--json", str(out), "--seed", "-1"],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: seed must be nonnegative, got -1"]
+        assert not out.exists()
+
     def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
         out = tmp_path / "a.json"
@@ -275,6 +297,29 @@ class TestOptimizeAndApply:
             "warning: dataset fingerprint differs from the one recorded in the "
             "artifact; weights were learned on different data"
         ]
+
+    def test_fork_warning_is_not_echoed(self, runner, small_sets, tmp_path, monkeypatch):
+        # Python 3.12+ warns on a fork once numpy has started its BLAS threads
+        opt, _ = small_sets
+        artifact = tmp_path / "a.json"
+        runner.invoke(main, ["optimize", opt, "--k", "3", "--out", str(artifact)])
+        quiet = runner.invoke(main, ["apply", opt, str(artifact)])
+        forks = []
+        fork = os.fork
+
+        def warning_fork():
+            forks.append(os.getpid())
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 500)
+        result = runner.invoke(main, ["apply", opt, str(artifact)])
+        assert len(forks) == 1
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == quiet.stdout
 
     @pytest.mark.parametrize("command", ["apply", "density", "evaluate"])
     def test_artifact_is_read_before_the_dataset(self, runner, tmp_path, command):
@@ -386,6 +431,25 @@ class TestSweep:
         apply_doc = json.loads(ap_json.read_text())
         assert sweep_row["accuracy"] == apply_doc["overall_accuracy"]
         assert sweep_row["cobias"] == apply_doc["cobias"]
+
+    @pytest.mark.parametrize("sizes, bad", [("2,-1", -1), ("2,0", 0), ("2,1000", 1000)])
+    def test_sizes_outside_the_set_rejected_before_any_anneal(
+        self, runner, small_sets, tmp_path, monkeypatch, sizes, bad
+    ):
+        opt, test = small_sets
+        out = tmp_path / "sweep.json"
+        anneals = []
+        monkeypatch.setattr("cobias.cli.anneal", lambda *args: anneals.append(args))
+        result = runner.invoke(
+            main, ["sweep", opt, test, "--sizes", sizes, "--seeds", "0", "--k", "2",
+                   "--json", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: size {bad} outside [1, 120]: the optimization set has 120 samples"
+        ]
+        assert anneals == [] and not out.exists()
 
     def test_tiny_size_warns_and_falls_back(self, runner, small_sets):
         opt, test = small_sets
@@ -549,9 +613,14 @@ class TestGenerateAndCompare:
                 "error: synthetic spec has an invalid value: num_classes must be an integer, "
                 "got True",
             ),
+            (
+                {"num_classes": 2, "samples_per_class": [4, 4],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": -1},
+                "error: seed must be nonnegative, got -1",
+            ),
         ],
         ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
-             "bool-num-classes"],
+             "bool-num-classes", "negative-seed"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"

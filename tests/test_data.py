@@ -1,5 +1,11 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -470,6 +476,192 @@ class TestBulkParsers:
         assert ds.labels.tolist() == [0, 1]
 
 
+@pytest.fixture()
+def forks(monkeypatch):
+    """Reports two usable CPUs and records each fork of the parse."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    return calls
+
+
+def _one_process_outcome(path, fmt):
+    fork = os.fork
+    del os.fork
+    try:
+        return _outcome(path, fmt)
+    finally:
+        os.fork = fork
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_child(parent_pid, action, block):
+    """A ``parse_block`` that runs ``action`` first in a forked child."""
+    def parse(lines):
+        if os.getpid() != parent_pid:
+            action()
+        return block(lines)
+    return parse
+
+
+class TestTwoProcesses:
+    """Text longer than two chunks is parsed in two halves, the second by a
+    forked child; every outcome equals the one-process parse."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("chunk", [1, 37, 100, 1000])
+    def test_arrays_equal_a_one_process_parse(self, tmp_path, forks, fmt, chunk):
+        ds = random_dataset(np.random.default_rng(chunk), 150, 4)
+        path = tmp_path / f"d.{fmt}"
+        save_dataset(ds, path, fmt)
+
+        def no_fallback(lines):
+            raise AssertionError("a good file fell back to the line-by-line parser")
+
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            with mock.patch.object(data, f"_parse_{fmt}_lines", no_fallback):
+                two = load_dataset(path, fmt)
+            assert len(forks) == 1
+            one = _one_process_outcome(path, fmt)
+        assert len(forks) == 1
+        np.testing.assert_array_equal(two.probs, ds.probs)
+        np.testing.assert_array_equal(two.labels, ds.labels)
+        assert (two.probs.tobytes(), two.labels.tobytes(), two.fingerprint()) == one
+        assert two.fingerprint() == ds.fingerprint()
+        _assert_no_child_left()
+
+    def test_small_text_is_parsed_in_one_process(self, tmp_path, forks):
+        path = _write_lines(tmp_path / "d.jsonl", [_GOOD_LINE["jsonl"]] * 6)
+        with mock.patch.object(data, "_CHUNK_CHARS", len(path.read_text()) // 2):
+            assert load_dataset(path, "jsonl").num_samples == 6
+        assert forks == []
+
+    def test_one_cpu_is_parsed_in_one_process(self, tmp_path, forks):
+        path = _write_lines(tmp_path / "d.jsonl", [_GOOD_LINE["jsonl"]] * 6)
+        with mock.patch.object(data, "_CHUNK_CHARS", 1), \
+                mock.patch.object(data, "_usable_cpus", lambda: 1):
+            assert load_dataset(path, "jsonl").num_samples == 6
+        assert forks == []
+
+    @pytest.mark.parametrize("fmt, bad, message", _CORRUPTIONS)
+    @pytest.mark.parametrize("line", [3, 75])
+    def test_corruption_in_either_half_keeps_its_message(
+        self, tmp_path, forks, fmt, bad, message, line
+    ):
+        good = _GOOD_LINE[fmt]
+        lines = [good] * 80
+        lines[line] = bad
+        path = _write_lines(tmp_path / f"d.{fmt}", lines)
+        text = path.read_text()
+        with mock.patch.object(data, "_CHUNK_CHARS", 100):
+            outcome = _outcome(path, fmt)
+        assert len(forks) == 1
+        # line 3 lies in the parent's half, line 75 in the child's
+        mid_line = text[: text.find("\n", len(text) // 2) + 1].count("\n")
+        assert (line < mid_line) == (line == 3)
+        expected = message.replace("line 1:", f"line {line}:")
+        assert outcome == (expected.replace("sample 1", f"sample {line}"), line)
+        assert outcome == _line_parser_outcome(path, fmt)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt, wide, message", [
+        ("jsonl", '{"probs":[0.25,0.25,0.5],"label":0}', "expected 2 probabilities, got 3"),
+        ("csv", "0.25,0.25,0.5,0", "expected 3 columns, got 4"),
+    ])
+    def test_width_change_exactly_at_the_split(self, tmp_path, forks, fmt, wide, message):
+        narrow = _GOOD_LINE[fmt]
+        # the fewest narrow lines before 30 wide ones that put the split on their border
+        for count in range(1, 100):
+            text = "".join(line + "\n" for line in [narrow] * count + [wide] * 30)
+            if text.find("\n", len(text) // 2) + 1 == count * (len(narrow) + 1):
+                break
+        path = tmp_path / f"d.{fmt}"
+        path.write_text(text)
+        # each half is one width throughout, so only the join sees the change
+        with mock.patch.object(data, "_CHUNK_CHARS", 100):
+            assert _outcome(path, fmt) == (f"line {count}: {message}", count)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_child_that_dies_falls_back_to_the_same_result(self, tmp_path, forks, fmt):
+        ds = random_dataset(np.random.default_rng(3), 120, 3)
+        path = tmp_path / f"d.{fmt}"
+        save_dataset(ds, path, fmt)
+        name = f"_{fmt}_block"
+        dies = _in_child(os.getpid(), lambda: os._exit(1), getattr(data, name))
+        with mock.patch.object(data, "_CHUNK_CHARS", 200):
+            expected = _one_process_outcome(path, fmt)
+            with mock.patch.object(data, name, dies):
+                assert _outcome(path, fmt) == expected
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_blocks_of_a_failed_child_are_not_used(self, tmp_path, forks):
+        # a complete dump of no blocks, then a nonzero exit: the blocks would
+        # drop the child's half, so the status alone must send the file to
+        # the line-by-line parser
+        ds = random_dataset(np.random.default_rng(4), 120, 3)
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path, "jsonl")
+        dump = pickle.dump
+
+        def dump_nothing_then_fail(obj, file, protocol):
+            dump([], file, protocol)
+            file.flush()
+            os._exit(1)
+
+        with mock.patch.object(data, "_CHUNK_CHARS", 200):
+            expected = _one_process_outcome(path, "jsonl")
+            with mock.patch.object(pickle, "dump", dump_nothing_then_fail):
+                assert _outcome(path, "jsonl") == expected
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_parent_side_exception_leaves_no_child(self, tmp_path, forks):
+        class Interrupted(Exception):
+            pass
+
+        def raise_in_parent(lines):
+            raise Interrupted
+
+        path = _write_lines(tmp_path / "d.jsonl", [_GOOD_LINE["jsonl"]] * 40)
+        # the child would parse for a minute; the parent must not wait for it
+        stalls = _in_child(os.getpid(), lambda: time.sleep(60), raise_in_parent)
+        start = time.monotonic()
+        with mock.patch.object(data, "_CHUNK_CHARS", 100), \
+                mock.patch.object(data, "_jsonl_block", stalls), pytest.raises(Interrupted):
+            load_dataset(path, "jsonl")
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_child_flushes_no_inherited_output(self, tmp_path):
+        # stdout to a pipe is block-buffered: a child leaving through sys.exit
+        # would write the parent's pending "before" line a second time
+        path = _write_lines(tmp_path / "d.jsonl", [_GOOD_LINE["jsonl"]] * 40)
+        script = (
+            "import sys\n"
+            "from cobias import data\n"
+            "data._CHUNK_CHARS, data._usable_cpus = 100, lambda: 2\n"
+            "sys.stdout.write('before\\n')\n"
+            f"print(data.load_dataset({str(path)!r}, 'jsonl').num_samples)\n"
+        )
+        src = str(Path(data.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (result.returncode, result.stdout, result.stderr) == (0, "before\n40\n", "")
+
+
 class TestGenerateSynthetic:
     def test_identity_bias_gives_perfect_accuracy(self):
         spec = SyntheticSpec(
@@ -532,6 +724,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(2, (10, 10), ((0.9, 0.0), (0.0, 1.0)), 1.0, 0)
         with pytest.raises(ValidationError):
             SyntheticSpec(2, (10, 10), ((1.0, 0.0), (0.0, 1.0)), 0.0, 0)
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            SyntheticSpec(2, (10, 10), ((1.0, 0.0), (0.0, 1.0)), 1.0, -1)
 
 
 def _make_artifact(indices=(3, 1, 1, 20), k=30, fingerprint="abc123"):
