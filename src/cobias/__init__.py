@@ -17,7 +17,7 @@ from .annealer import (
     predicted_complexity,
     write_trace,
 )
-from .baselines import BatchCalibration, MethodComparison, MethodResult, batch_calibrate, compare_methods
+from .baselines import BatchCalibration, MethodResult, batch_calibrate, compare_methods
 from .data import (
     ProbabilityDataset,
     ReweightArtifact,
@@ -57,7 +57,6 @@ __all__ = [
     "ConfusionMatrix",
     "DatasetFormatError",
     "IncrementalEvaluator",
-    "MethodComparison",
     "MethodResult",
     "ObjectiveConfig",
     "ObjectiveValue",

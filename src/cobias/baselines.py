@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealer import AnnealResult, AnnealSchedule, anneal
+from .annealer import AnnealSchedule, anneal
 from .data import ProbabilityDataset, WeightScale, readonly_array
 from .errors import ValidationError
 from .metrics import class_report, counts_from_predictions, report_from_confusion, ConfusionMatrix
@@ -53,10 +53,13 @@ class MethodResult:
     cobias_single: float
 
 
-@dataclass(frozen=True)
-class MethodComparison:
-    rows: tuple[MethodResult, ...]
-    dnip: AnnealResult
+def check_pair(optimization_set: ProbabilityDataset, test_set: ProbabilityDataset) -> None:
+    """Refuse an optimization and a test set whose class counts differ."""
+    if optimization_set.num_classes != test_set.num_classes:
+        raise ValidationError(
+            f"optimization set has {optimization_set.num_classes} classes but "
+            f"test set has {test_set.num_classes}"
+        )
 
 
 def compare_methods(
@@ -65,17 +68,14 @@ def compare_methods(
     scale: WeightScale,
     config: ObjectiveConfig,
     schedule: AnnealSchedule,
-) -> MethodComparison:
-    """Identity, batch calibration, and annealed reweighting on the test set.
+) -> tuple[MethodResult, ...]:
+    """Identity, batch calibration, and annealed reweighting on the test set,
+    one row each in that order.
 
     The reweighting is fit on the optimization set only; the test set is
     touched exclusively at evaluation time.
     """
-    if optimization_set.num_classes != test_set.num_classes:
-        raise ValidationError(
-            f"optimization set has {optimization_set.num_classes} classes but "
-            f"test set has {test_set.num_classes}"
-        )
+    check_pair(optimization_set, test_set)
 
     def row(method: str, report) -> MethodResult:
         return MethodResult(
@@ -94,11 +94,8 @@ def compare_methods(
     calibration = report_from_confusion(ConfusionMatrix(counts=readonly_array(cal_counts)))
     result = anneal(optimization_set, scale, config, schedule)
     dnip = class_report(test_set, result.selection, scale)
-    return MethodComparison(
-        rows=(
-            row("identity", identity),
-            row("batch_calibration", calibration),
-            row("dnip", dnip),
-        ),
-        dnip=result,
+    return (
+        row("identity", identity),
+        row("batch_calibration", calibration),
+        row("dnip", dnip),
     )

@@ -9,6 +9,7 @@ errors, and 2 for I/O errors.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import functools
 import json
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .annealer import AnnealSchedule, anneal, predicted_complexity, write_trace
-from .baselines import compare_methods
+from .baselines import check_pair, compare_methods
 from .data import (
     DATASET_FORMATS,
     ProbabilityDataset,
@@ -48,6 +49,7 @@ from .objective import (
 )
 
 DEFAULT_K = 30
+DEFAULT_TERMS = "z1+z2-z3"
 
 
 def _handle_errors(func):
@@ -102,11 +104,7 @@ def _load_pair(
     """Load the optimization and test sets; they must share a class count."""
     opt_set = _load(optimization_path, fmt, renormalize)
     test_set = _load(test_path, fmt, renormalize)
-    if opt_set.num_classes != test_set.num_classes:
-        raise ValidationError(
-            f"optimization set has {opt_set.num_classes} classes but "
-            f"test set has {test_set.num_classes}"
-        )
+    check_pair(opt_set, test_set)
     return opt_set, test_set
 
 
@@ -117,34 +115,44 @@ _dataset_options = [
                  help="Divide each probability row by its sum before validation."),
 ]
 
-_objective_options = [
-    click.option("--beta", type=float, default=DEFAULT_BETA, show_default=True,
-                 help="Weight of the accuracy-imbalance term."),
-    click.option("--tau", type=float, default=DEFAULT_TAU, show_default=True,
-                 help="Weight of the PMI term."),
+_search_flags = {
+    "beta": click.option("--beta", type=float, default=DEFAULT_BETA, show_default=True,
+                         help="Weight of the accuracy-imbalance term."),
+    "tau": click.option("--tau", type=float, default=DEFAULT_TAU, show_default=True,
+                        help="Weight of the PMI term."),
+    "mu": click.option("--mu", type=float, default=DEFAULT_MU, show_default=True,
+                       help="Additive smoothing for PMI count ratios."),
+    "terms": click.option("--terms", type=click.Choice(sorted(TERM_COMBINATIONS)),
+                          default=DEFAULT_TERMS, show_default=True,
+                          help="Objective term combination."),
+    "k": click.option("--k", "k_points", type=int, default=DEFAULT_K, show_default=True,
+                      help="Number of points on the correction weight scale."),
+    "tmax": click.option("--tmax", type=float, default=AnnealSchedule.t_max, show_default=True,
+                         help="Initial temperature."),
+    "tmin": click.option("--tmin", type=float, default=AnnealSchedule.t_min, show_default=True,
+                         help="Stop temperature."),
+    "alpha": click.option("--alpha", type=float, default=AnnealSchedule.alpha,
+                          show_default=True, help="Geometric cooling factor."),
+    "lambda": click.option("--lambda", "lam", type=float, default=AnnealSchedule.lam,
+                           show_default=True,
+                           help="Chain-length multiplier; inner loop = ceil(lambda*N*K) proposals."),
+    "max-accepted": click.option("--max-accepted", type=int, default=None,
+                                 help="Alternate inner-loop stop: acceptance count "
+                                      "[default: ceil(0.1*lambda*N*K)]."),
+    "seed": click.option("--seed", type=int, default=0, show_default=True,
+                         help="RNG seed for the annealing run."),
+}
+
+_report_options = [
+    *_dataset_options,
     click.option("--mu", type=float, default=DEFAULT_MU, show_default=True,
-                 help="Additive smoothing for PMI count ratios."),
-    click.option("--terms", type=click.Choice(sorted(TERM_COMBINATIONS)), default="z1+z2-z3",
-                 show_default=True, help="Objective term combination."),
-    click.option("--k", "k_points", type=int, default=DEFAULT_K, show_default=True,
-                 help="Number of points on the correction weight scale."),
+                 help="Additive smoothing for the reported PMI vector."),
+    click.option("--json", "json_path", type=click.Path(), default=None,
+                 help="Also write the machine-readable report to this path."),
 ]
 
-_schedule_options = [
-    click.option("--tmax", type=float, default=AnnealSchedule.t_max, show_default=True,
-                 help="Initial temperature."),
-    click.option("--tmin", type=float, default=AnnealSchedule.t_min, show_default=True,
-                 help="Stop temperature."),
-    click.option("--alpha", type=float, default=AnnealSchedule.alpha, show_default=True,
-                 help="Geometric cooling factor."),
-    click.option("--lambda", "lam", type=float, default=AnnealSchedule.lam, show_default=True,
-                 help="Chain-length multiplier; inner loop = ceil(lambda*N*K) proposals."),
-    click.option("--max-accepted", type=int, default=None,
-                 help="Alternate inner-loop stop: acceptance count "
-                      "[default: ceil(0.1*lambda*N*K)]."),
-    click.option("--seed", type=int, default=0, show_default=True,
-                 help="RNG seed for the annealing run."),
-]
+_rows_json_option = click.option("--json", "json_path", type=click.Path(), default=None,
+                                 help="Also write the rows as a JSON document.")
 
 
 def _add_options(options):
@@ -156,27 +164,43 @@ def _add_options(options):
     return wrap
 
 
-def _schedule(tmax, tmin, alpha, lam, max_accepted, seed) -> AnnealSchedule:
-    return AnnealSchedule(
-        t_max=tmax, t_min=tmin, alpha=alpha, lam=lam, max_accepted=max_accepted, seed=seed
+def _search_options(*omit: str):
+    """The dataset and search flags of an annealing command, less ``omit``."""
+    return _add_options(
+        [*_dataset_options, *(o for name, o in _search_flags.items() if name not in omit)]
     )
 
 
-def _config(terms, beta, tau, mu) -> ObjectiveConfig:
-    return ObjectiveConfig.with_terms(terms, beta=beta, tau=tau, mu=mu)
+def _search(k_points, beta, tau, mu, tmax, tmin, alpha, lam, max_accepted,
+            terms=DEFAULT_TERMS, seed=0) -> tuple[WeightScale, ObjectiveConfig, AnnealSchedule]:
+    """Build the scale, objective and schedule from the search flags.
+
+    Each checks its values on construction, in this order, so a bad flag is
+    refused before any dataset is read.
+    """
+    scale = WeightScale(k_points)
+    config = ObjectiveConfig.with_terms(terms, beta=beta, tau=tau, mu=mu)
+    schedule = AnnealSchedule(
+        t_max=tmax, t_min=tmin, alpha=alpha, lam=lam, max_accepted=max_accepted, seed=seed
+    )
+    return scale, config, schedule
 
 
-def _print_report(doc: dict) -> None:
-    n = doc["num_classes"]
-    click.echo(f"samples: {doc['num_samples']}  classes: {n}")
+def _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path) -> None:
+    """Print the evaluation report of a dataset, reweighted by the artifact
+    when one is given, and write it as JSON when ``json_path`` is set."""
+    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
+    selection = scale = None
+    if artifact is not None:
+        selection, scale = artifact.selection, artifact.scale
+    doc = report_document(dataset, selection, scale, mu=mu)
+    click.echo(f"samples: {doc['num_samples']}  classes: {doc['num_classes']}")
     click.echo("confusion matrix (rows true, columns predicted):")
     width = max(len(str(v)) for row in doc["confusion"] for v in row)
     for i, row in enumerate(doc["confusion"]):
         cells = " ".join(f"{v:>{width}}" for v in row)
         click.echo(f"  {i}: {cells}")
-    accs = ", ".join(
-        "n/a" if a is None else f"{a:.4f}" for a in doc["per_class_accuracy"]
-    )
+    accs = ", ".join("n/a" if a is None else f"{a:.4f}" for a in doc["per_class_accuracy"])
     click.echo(f"per-class accuracy: {accs}")
     click.echo(f"overall accuracy: {doc['overall_accuracy']:.4f}")
     click.echo(f"cobias: {doc['cobias']:.4f}")
@@ -187,11 +211,16 @@ def _print_report(doc: dict) -> None:
     click.echo(f"odd classes: {odd}")
     pmi = ", ".join(f"{v:.4f}" for v in doc["pmi"])
     click.echo(f"pmi (mu={doc['mu']:g}): {pmi}")
+    _write_json(doc, json_path)
 
 
 def _write_json(doc: dict, path: str | None) -> None:
     if path:
         Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_rows(kind: str, rows: list, path: str | None) -> None:
+    _write_json({"schema_version": 1, "kind": kind, "rows": rows}, path)
 
 
 def _load_with_artifact(
@@ -226,38 +255,21 @@ def main():
 @click.argument("dataset_path", type=click.Path())
 @click.option("--artifact", "artifact_path", type=click.Path(), default=None,
               help="Apply a learned reweighting before computing metrics.")
-@_add_options(_dataset_options)
-@click.option("--mu", type=float, default=DEFAULT_MU, show_default=True,
-              help="Additive smoothing for the reported PMI vector.")
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="Also write the machine-readable report to this path.")
+@_add_options(_report_options)
 @_handle_errors
 def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Report confusion matrix, accuracies, imbalance metrics, and PMI."""
-    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
-    selection = scale = None
-    if artifact is not None:
-        selection, scale = artifact.selection, artifact.scale
-    doc = report_document(dataset, selection, scale, mu=mu)
-    _print_report(doc)
-    _write_json(doc, json_path)
+    _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path)
 
 
 @main.command()
 @click.argument("dataset_path", type=click.Path())
 @click.argument("artifact_path", type=click.Path())
-@_add_options(_dataset_options)
-@click.option("--mu", type=float, default=DEFAULT_MU, show_default=True,
-              help="Additive smoothing for the reported PMI vector.")
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="Also write the machine-readable report to this path.")
+@_add_options(_report_options)
 @_handle_errors
 def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Reweight a dataset with a learned artifact and report the metrics."""
-    dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
-    doc = report_document(dataset, artifact.selection, artifact.scale, mu=mu)
-    _print_report(doc)
-    _write_json(doc, json_path)
+    _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path)
 
 
 @main.command()
@@ -269,27 +281,18 @@ def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
 @click.option("--timestamp", is_flag=True,
               help="Record the wall-clock time in the artifact; off by default "
                    "so identical runs produce identical files.")
-@_add_options(_dataset_options)
-@_add_options(_objective_options)
-@_add_options(_schedule_options)
+@_search_options()
 @_handle_errors
-def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormalize,
-             beta, tau, mu, terms, k_points, tmax, tmin, alpha, lam, max_accepted, seed):
+def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormalize, **search):
     """Learn per-class correction weights on a labeled optimization set."""
-    scale = WeightScale(k_points)
-    config = _config(terms, beta, tau, mu)
-    schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
+    scale, config, schedule = _search(**search)
     dataset = _load(optimization_path, fmt, renormalize)
 
     before = class_report(dataset)
-    click.echo(
-        f"before: accuracy {before.overall:.4f}  cobias {before.cobias:.4f}"
-    )
+    click.echo(f"before: accuracy {before.overall:.4f}  cobias {before.cobias:.4f}")
     result = anneal(dataset, scale, config, schedule)
     after = class_report(dataset, result.selection, scale)
-    click.echo(
-        f"after:  accuracy {after.overall:.4f}  cobias {after.cobias:.4f}"
-    )
+    click.echo(f"after:  accuracy {after.overall:.4f}  cobias {after.cobias:.4f}")
     parts = ", ".join(
         f"{name}={v:.6f}"
         for name, v in (("z1", result.value.z1_error_rate),
@@ -302,7 +305,7 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     click.echo(f"coefficients: {[float(c) for c in result.selection.coefficients(scale)]}")
     click.echo(
         f"proposals: {result.trace.total_evaluations - 1} "
-        f"(bound {predicted_complexity(dataset.num_classes, k_points, schedule)})"
+        f"(bound {predicted_complexity(dataset.num_classes, scale.k_points, schedule)})"
     )
 
     created_at = (
@@ -314,7 +317,7 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
         objective_config=config,
         final_objective=result.value.total,
         provenance=RunProvenance(
-            seed=seed,
+            seed=schedule.seed,
             schedule=schedule.to_dict(),
             dataset_fingerprint=dataset.fingerprint(),
             created_at=created_at,
@@ -330,19 +333,19 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
 @main.command()
 @click.argument("optimization_path", type=click.Path())
 @click.argument("test_path", type=click.Path())
-@_add_options(_dataset_options)
-@_add_options(_objective_options)
-@_add_options(_schedule_options)
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="Also write the rows as a JSON document.")
+@_search_options("terms")
+@_rows_json_option
 @_handle_errors
-def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
-           k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
+def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
     """Optimize each of the seven objective-term combinations and report
-    test accuracy and imbalance per row (--terms is ignored here)."""
-    scale = WeightScale(k_points)
-    schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
-    configs = {key: _config(key, beta, tau, mu) for key in TERM_COMBINATIONS}
+    test accuracy and imbalance per row."""
+    # the full z1+z2-z3 config is the strictest, so _search refuses every
+    # bad value that any of the seven would
+    scale, full, schedule = _search(**search)
+    configs = {
+        key: ObjectiveConfig.with_terms(key, beta=full.beta, tau=full.tau, mu=full.mu)
+        for key in TERM_COMBINATIONS
+    }
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
     rows = []
     for key, config in configs.items():
@@ -360,7 +363,7 @@ def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
     click.echo(f"{'objective':<14} {'accuracy':>9} {'cobias':>9}")
     for row in rows:
         click.echo(f"{row['label']:<14} {row['accuracy']:>9.4f} {row['cobias']:>9.4f}")
-    _write_json({"schema_version": 1, "kind": "ablation_report", "rows": rows}, json_path)
+    _write_rows("ablation_report", rows, json_path)
 
 
 @main.command()
@@ -369,14 +372,10 @@ def ablate(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
 @click.option("--sizes", required=True, help="Comma-separated optimization-set sizes.")
 @click.option("--seeds", default="0,1,2", show_default=True,
               help="Comma-separated seeds; one optimization run per (size, seed).")
-@_add_options(_dataset_options)
-@_add_options(_objective_options)
-@_add_options(_schedule_options)
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="Also write the rows as a JSON document.")
+@_search_options("seed")
+@_rows_json_option
 @_handle_errors
-def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, tau, mu,
-          terms, k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
+def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_path, **search):
     """Optimize on stratified subsets of increasing size and report test
     accuracy and imbalance as mean and standard deviation over seeds."""
     try:
@@ -386,9 +385,8 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
         raise ValidationError(f"sizes and seeds must be comma-separated integers: {exc}")
     if not size_list or not seed_list:
         raise ValidationError("need at least one size and one seed")
-    scale = WeightScale(k_points)
-    config = _config(terms, beta, tau, mu)
-    schedules = {s: _schedule(tmax, tmin, alpha, lam, max_accepted, s) for s in seed_list}
+    scale, config, schedule = _search(**search)
+    schedules = {s: dataclasses.replace(schedule, seed=s) for s in seed_list}
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
     m = opt_set.num_samples
     for size in size_list:  # all sizes before the first anneal, so no run stops partway
@@ -423,7 +421,7 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, beta, ta
         acc = f"{row['mean_accuracy']:.4f} ± {row['std_accuracy']:.4f}"
         cb = f"{row['mean_cobias']:.4f} ± {row['std_cobias']:.4f}"
         click.echo(f"{row['size']:>8} {acc:>18} {cb:>18}")
-    _write_json({"schema_version": 1, "kind": "sweep_report", "rows": rows}, json_path)
+    _write_rows("sweep_report", rows, json_path)
 
 
 @main.command()
@@ -454,42 +452,22 @@ def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
 @main.command()
 @click.argument("optimization_path", type=click.Path())
 @click.argument("test_path", type=click.Path())
-@_add_options(_dataset_options)
-@_add_options(_objective_options)
-@_add_options(_schedule_options)
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="Also write the rows as a JSON document.")
+@_search_options()
+@_rows_json_option
 @_handle_errors
-def compare(optimization_path, test_path, fmt, renormalize, beta, tau, mu, terms,
-            k_points, tmax, tmin, alpha, lam, max_accepted, seed, json_path):
+def compare(optimization_path, test_path, fmt, renormalize, json_path, **search):
     """Compare identity, batch calibration, and learned reweighting on the
     test set; the reweighting is fit on the optimization set only."""
-    scale = WeightScale(k_points)
-    config = _config(terms, beta, tau, mu)
-    schedule = _schedule(tmax, tmin, alpha, lam, max_accepted, seed)
+    scale, config, schedule = _search(**search)
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
-    comparison = compare_methods(opt_set, test_set, scale, config, schedule)
+    rows = compare_methods(opt_set, test_set, scale, config, schedule)
     click.echo(f"{'method':<18} {'accuracy':>9} {'error':>9} {'cobias':>9} {'cobias_1':>9}")
-    for row in comparison.rows:
+    for row in rows:
         click.echo(
             f"{row.method:<18} {row.accuracy:>9.4f} {row.error_rate:>9.4f} "
             f"{row.cobias:>9.4f} {row.cobias_single:>9.4f}"
         )
-    doc = {
-        "schema_version": 1,
-        "kind": "comparison_report",
-        "rows": [
-            {
-                "method": r.method,
-                "accuracy": r.accuracy,
-                "error_rate": r.error_rate,
-                "cobias": r.cobias,
-                "cobias_single": r.cobias_single,
-            }
-            for r in comparison.rows
-        ],
-    }
-    _write_json(doc, json_path)
+    _write_rows("comparison_report", [dataclasses.asdict(r) for r in rows], json_path)
 
 
 @main.command()

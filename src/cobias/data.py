@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -654,12 +654,7 @@ def save_artifact(artifact: ReweightArtifact, path) -> None:
         "coefficients": [float(c) for c in artifact.coefficients],
         "objective_config": artifact.objective_config.to_dict(),
         "final_objective": float(artifact.final_objective),
-        "provenance": {
-            "seed": artifact.provenance.seed,
-            "schedule": artifact.provenance.schedule,
-            "dataset_fingerprint": artifact.provenance.dataset_fingerprint,
-            "created_at": artifact.provenance.created_at,
-        },
+        "provenance": asdict(artifact.provenance),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

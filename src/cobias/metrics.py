@@ -160,19 +160,16 @@ def odd_classes(cm: ConfusionMatrix) -> tuple[int | None, ...]:
     Ties break to the lowest class index; rows without any misprediction
     map to None.
     """
-    counts = cm.counts
-    n = cm.num_classes
-    out: list[int | None] = []
-    for i in range(n):
-        row = counts[i].copy()
-        row[i] = -1
-        j = int(np.argmax(row))
-        out.append(j if row[j] > 0 else None)
-    return tuple(out)
+    off = cm.counts.copy()
+    np.fill_diagonal(off, -1)
+    best = np.argmax(off, axis=1)
+    defined = off.max(axis=1) > 0
+    return tuple(j if d else None for j, d in zip(best.tolist(), defined.tolist()))
 
 
 def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
-    """Mean |A_odd(i) - A_i| over classes with a defined odd class."""
+    """Mean |A_odd(i) - A_i| over classes with a defined odd class; 0.0 when
+    no class has one (a perfectly diagonal confusion matrix)."""
     vals = np.asarray(per_class, dtype=np.float64)
     gaps = []
     skipped_undefined = False
@@ -188,9 +185,7 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
             "pairs involving classes without true samples excluded from the odd-class gap",
             stacklevel=2,
         )
-    if not gaps:
-        raise ValidationError("no class has a defined odd class")
-    return float(sum(gaps) / len(gaps))
+    return float(sum(gaps) / len(gaps)) if gaps else 0.0
 
 
 def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
@@ -252,16 +247,11 @@ def report_from_confusion(cm: ConfusionMatrix) -> ClassAccuracyReport:
     acc = per_class_accuracy(cm)
     odd = odd_classes(cm)
     overall = float(np.diag(cm.counts).sum() / cm.num_samples)
-    cb = cobias(acc)
-    try:
-        cbs = cobias_single(acc, odd)
-    except ValidationError:
-        cbs = 0.0
     return ClassAccuracyReport(
         per_class=readonly_array(acc),
         overall=overall,
-        cobias=cb,
-        cobias_single=cbs,
+        cobias=cobias(acc),
+        cobias_single=cobias_single(acc, odd),
         odd_class=odd,
     )
 

@@ -20,7 +20,7 @@ module's, and agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,14 +94,7 @@ class ObjectiveConfig:
         return cls(beta=beta, tau=tau, mu=mu, use_z1=z1, use_z2=z2, use_z3=z3)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "tau": self.tau,
-            "mu": self.mu,
-            "use_z1": self.use_z1,
-            "use_z2": self.use_z2,
-            "use_z3": self.use_z3,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ObjectiveConfig":

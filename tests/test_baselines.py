@@ -72,23 +72,23 @@ def comparison(biased_pair):
 
 class TestCompareMethods:
     def test_rows_fully_populated(self, comparison):
-        assert [r.method for r in comparison.rows] == [
+        assert [r.method for r in comparison] == [
             "identity", "batch_calibration", "dnip"
         ]
-        for row in comparison.rows:
+        for row in comparison:
             for cell in (row.accuracy, row.error_rate, row.cobias, row.cobias_single):
                 assert np.isfinite(cell)
 
     def test_identity_row_matches_direct_report(self, comparison, biased_pair):
         _, test = biased_pair
         report = class_report(test)
-        identity = comparison.rows[0]
+        identity = comparison[0]
         assert identity.accuracy == report.overall
         assert identity.cobias == report.cobias
         assert identity.cobias_single == report.cobias_single
 
     def test_dnip_row_beats_identity_cobias(self, comparison):
-        identity, _, dnip = comparison.rows
+        identity, _, dnip = comparison
         assert dnip.cobias <= identity.cobias
 
     def test_class_count_mismatch_rejected(self):

@@ -236,6 +236,38 @@ class TestOptimizeAndApply:
         assert result.stderr.splitlines() == ["error: seed must be nonnegative, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    def test_objective_error_reported_before_schedule_error(self, runner, tmp_path, command):
+        # every annealing command checks the scale, the objective and the
+        # schedule in that order, before any dataset is read
+        out = tmp_path / "a.json"
+        missing = [str(tmp_path / "missing-opt.jsonl"), str(tmp_path / "missing-test.jsonl")]
+        args = {
+            "optimize": ["optimize", missing[0], "--out", str(out)],
+            "ablate": ["ablate", *missing, "--json", str(out)],
+            "sweep": ["sweep", *missing, "--sizes", "30", "--json", str(out)],
+            "compare": ["compare", *missing, "--json", str(out)],
+        }[command]
+        result = runner.invoke(main, [*args, "--alpha", "2", "--beta", "-1"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: beta, tau, and mu must be nonnegative"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [(["ablate"], ["--terms", "z1"]),
+                                               (["sweep", "--sizes", "30"], ["--seed", "3"])])
+    def test_removed_flag_is_a_usage_error(self, runner, small_sets, command, flag):
+        # ablate runs every term combination and sweep seeds each run from
+        # --seeds, so neither takes the flag optimize and compare have
+        opt, test = small_sets
+        result = runner.invoke(main, [command[0], opt, test, *command[1:], *flag])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert any(
+            line.startswith("Error: No such option") and flag[0] in line
+            for line in result.stderr.splitlines()
+        )
+
     def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
         out = tmp_path / "a.json"

@@ -165,9 +165,9 @@ class TestCobiasSingle:
         got = cobias_single(acc, odd_classes(cm))
         assert got == pytest.approx(abs(acc[1] - acc[0]), abs=1e-12)
 
-    def test_all_none_rejected(self):
-        with pytest.raises(ValidationError):
-            cobias_single([1.0, 1.0], (None, None))
+    def test_all_none_is_zero(self):
+        # a perfectly diagonal confusion matrix has no odd class at all
+        assert cobias_single([1.0, 1.0], (None, None)) == 0.0
 
 
 class TestPmi:
