@@ -34,13 +34,11 @@ from .data import (
 from .errors import ArtifactError, DatasetFormatError, ValidationError
 from .metrics import (
     ClassAccuracyReport,
-    ConfusionMatrix,
     class_report,
     cobias,
     cobias_single,
     confusion,
     odd_classes,
-    per_class_accuracy,
     predict_dataset,
     report_document,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "ArtifactError",
     "BatchCalibration",
     "ClassAccuracyReport",
-    "ConfusionMatrix",
     "DatasetFormatError",
     "IncrementalEvaluator",
     "MethodResult",
@@ -81,7 +78,6 @@ __all__ = [
     "load_artifact",
     "load_dataset",
     "odd_classes",
-    "per_class_accuracy",
     "predicted_complexity",
     "predict_dataset",
     "report_document",

@@ -1,8 +1,10 @@
-"""Reference debiasing methods: identity and batch calibration.
+"""Reference debiasing methods, and a learned reweighting scored against them.
 
 Batch calibration estimates a contextual prior by averaging the probability
 vectors of the batch and subtracts it from each sample before the argmax.
 Labels are never used, so it can run on unlabeled test batches.
+``compare_methods`` scores identity, batch calibration and a given weight
+selection on one test set; learning the selection is the caller's job.
 """
 
 from __future__ import annotations
@@ -11,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealer import AnnealSchedule, anneal
-from .data import ProbabilityDataset, WeightScale, readonly_array
-from .errors import ValidationError
-from .metrics import class_report, counts_from_predictions, report_from_confusion, ConfusionMatrix
-from .objective import ObjectiveConfig
+from .data import ProbabilityDataset, WeightScale, WeightSelection, readonly_array
+from .metrics import class_report, counts_from_predictions, report_from_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,49 +52,26 @@ class MethodResult:
     cobias_single: float
 
 
-def check_pair(optimization_set: ProbabilityDataset, test_set: ProbabilityDataset) -> None:
-    """Refuse an optimization and a test set whose class counts differ."""
-    if optimization_set.num_classes != test_set.num_classes:
-        raise ValidationError(
-            f"optimization set has {optimization_set.num_classes} classes but "
-            f"test set has {test_set.num_classes}"
-        )
-
-
 def compare_methods(
-    optimization_set: ProbabilityDataset,
     test_set: ProbabilityDataset,
+    selection: WeightSelection,
     scale: WeightScale,
-    config: ObjectiveConfig,
-    schedule: AnnealSchedule,
 ) -> tuple[MethodResult, ...]:
-    """Identity, batch calibration, and annealed reweighting on the test set,
-    one row each in that order.
+    """Identity, batch calibration, and the reweighting ``selection`` on the
+    test set, one row each in that order.
 
-    The reweighting is fit on the optimization set only; the test set is
-    touched exclusively at evaluation time.
+    The selection should be learned on a separate optimization set; the test
+    set is used here only for evaluation.
     """
-    check_pair(optimization_set, test_set)
-
-    def row(method: str, report) -> MethodResult:
-        return MethodResult(
-            method=method,
-            accuracy=report.overall,
-            error_rate=1.0 - report.overall,
-            cobias=report.cobias,
-            cobias_single=report.cobias_single,
-        )
-
-    identity = class_report(test_set)
     calibrated = batch_calibrate(test_set)
-    cal_counts = counts_from_predictions(
-        test_set.labels, calibrated.predictions, test_set.num_classes
-    )
-    calibration = report_from_confusion(ConfusionMatrix(counts=readonly_array(cal_counts)))
-    result = anneal(optimization_set, scale, config, schedule)
-    dnip = class_report(test_set, result.selection, scale)
-    return (
-        row("identity", identity),
-        row("batch_calibration", calibration),
-        row("dnip", dnip),
+    reports = {
+        "identity": class_report(test_set),
+        "batch_calibration": report_from_counts(
+            counts_from_predictions(test_set.labels, calibrated.predictions, test_set.num_classes)
+        ),
+        "dnip": class_report(test_set, selection, scale),
+    }
+    return tuple(
+        MethodResult(method, r.overall, 1.0 - r.overall, r.cobias, r.cobias_single)
+        for method, r in reports.items()
     )

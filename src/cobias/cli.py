@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .annealer import AnnealSchedule, anneal, predicted_complexity, write_trace
-from .baselines import check_pair, compare_methods
+from .baselines import compare_methods
 from .data import (
     DATASET_FORMATS,
     ProbabilityDataset,
@@ -39,7 +39,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ValidationError
-from .metrics import DEFAULT_MU, class_report, report_document, weighted_scores
+from .metrics import DEFAULT_MU, class_report, report_document
 from .objective import (
     ABLATION_LABELS,
     DEFAULT_BETA,
@@ -104,7 +104,11 @@ def _load_pair(
     """Load the optimization and test sets; they must share a class count."""
     opt_set = _load(optimization_path, fmt, renormalize)
     test_set = _load(test_path, fmt, renormalize)
-    check_pair(opt_set, test_set)
+    if opt_set.num_classes != test_set.num_classes:
+        raise ValidationError(
+            f"optimization set has {opt_set.num_classes} classes but "
+            f"test set has {test_set.num_classes}"
+        )
     return opt_set, test_set
 
 
@@ -438,7 +442,7 @@ def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     """Export each sample's (optionally reweighted) ground-truth-class
     probability as plot-ready long-format rows."""
     dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
-    scores = weighted_scores(dataset.probs, None if artifact is None else artifact.coefficients)
+    scores = dataset.probs if artifact is None else dataset.probs * artifact.coefficients
     values = np.take_along_axis(scores, dataset.labels[:, None], axis=1)[:, 0]
     if not raw:  # the same division per element as normalizing every row first
         values = values / scores.sum(axis=1)
@@ -460,7 +464,8 @@ def compare(optimization_path, test_path, fmt, renormalize, json_path, **search)
     test set; the reweighting is fit on the optimization set only."""
     scale, config, schedule = _search(**search)
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
-    rows = compare_methods(opt_set, test_set, scale, config, schedule)
+    result = anneal(opt_set, scale, config, schedule)
+    rows = compare_methods(test_set, result.selection, scale)
     click.echo(f"{'method':<18} {'accuracy':>9} {'error':>9} {'cobias':>9} {'cobias_1':>9}")
     for row in rows:
         click.echo(

@@ -578,6 +578,7 @@ def load_dataset(path, fmt: str, renormalize: bool = False) -> ProbabilityDatase
         rows, labels = _parse_chunked(text, _jsonl_block, _parse_jsonl_lines)
     else:
         rows, labels = _parse_chunked(text, _csv_block, _parse_csv_lines)
+    del text  # from_arrays copies the arrays; do not hold the text as well
     if len(rows) == 0:
         raise DatasetFormatError(f"no samples found in {path}")
     try:

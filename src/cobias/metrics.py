@@ -1,5 +1,9 @@
 """Prediction, confusion, and class-accuracy imbalance metrics.
 
+Every metric is a function of the N x N confusion counts (``counts[i][j]``
+samples of true class i predicted as j): ``confusion`` returns them as a
+read-only int64 array, and the ``*_counts`` functions and ``odd_classes`` take it.
+
 COBias is the mean absolute difference in accuracy over all class pairs:
 
     COBias = C(N,2)^-1 * sum_{i<j} |A_i - A_j|
@@ -27,55 +31,19 @@ from .errors import ValidationError
 DEFAULT_MU = 1e-3
 
 
-def _coefficients(
-    num_classes: int,
-    selection: WeightSelection | None,
-    scale: WeightScale | None,
-) -> np.ndarray | None:
-    """Resolve an optional (selection, scale) pair to a coefficient vector."""
-    if selection is None:
-        return None
-    if scale is None:
-        raise ValidationError("a weight selection requires its scale")
-    selection.validate(num_classes, scale)
-    return selection.coefficients(scale)
-
-
-def weighted_scores(probs: np.ndarray, coefficients: np.ndarray | None) -> np.ndarray:
-    return probs if coefficients is None else probs * coefficients
-
-
 def predict_dataset(
     dataset: ProbabilityDataset,
     selection: WeightSelection | None = None,
     scale: WeightScale | None = None,
 ) -> np.ndarray:
     """Predicted class per sample, lowest-index tie-break."""
-    coeffs = _coefficients(dataset.num_classes, selection, scale)
-    return np.argmax(weighted_scores(dataset.probs, coeffs), axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """counts[i][j] = number of samples with true class i predicted as j."""
-
-    counts: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def class_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def prediction_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+    scores = dataset.probs
+    if selection is not None:
+        if scale is None:
+            raise ValidationError("a weight selection requires its scale")
+        selection.validate(dataset.num_classes, scale)
+        scores = scores * selection.coefficients(scale)
+    return np.argmax(scores, axis=1)
 
 
 def counts_from_predictions(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
@@ -89,25 +57,20 @@ def confusion(
     dataset: ProbabilityDataset,
     selection: WeightSelection | None = None,
     scale: WeightScale | None = None,
-) -> ConfusionMatrix:
-    """Confusion matrix of the dataset under (optionally reweighted) argmax."""
+) -> np.ndarray:
+    """Read-only confusion counts of the dataset under (optionally
+    reweighted) argmax."""
     preds = predict_dataset(dataset, selection, scale)
-    return ConfusionMatrix(
-        counts=readonly_array(counts_from_predictions(dataset.labels, preds, dataset.num_classes))
-    )
+    return readonly_array(counts_from_predictions(dataset.labels, preds, dataset.num_classes))
 
 
 def accuracy_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Diagonal over row totals; NaN marks classes with no true samples."""
     totals = counts.sum(axis=1).astype(np.float64)
     diag = np.diag(counts).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         acc = np.where(totals > 0, diag / totals, np.nan)
     return acc
-
-
-def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
-    """Diagonal over row totals; NaN marks classes with no true samples."""
-    return accuracy_from_counts(cm.counts)
 
 
 def _gap_weights(defined: int, total: int) -> tuple[np.ndarray, float] | None:
@@ -154,13 +117,13 @@ def cobias(per_class) -> float:
     return 0.0 if gap is None else _pairwise_gap(defined, *gap)
 
 
-def odd_classes(cm: ConfusionMatrix) -> tuple[int | None, ...]:
+def odd_classes(counts: np.ndarray) -> tuple[int | None, ...]:
     """Per true class, the class receiving most of its mispredictions.
 
     Ties break to the lowest class index; rows without any misprediction
     map to None.
     """
-    off = cm.counts.copy()
+    off = counts.copy()
     np.fill_diagonal(off, -1)
     best = np.argmax(off, axis=1)
     defined = off.max(axis=1) > 0
@@ -198,11 +161,11 @@ def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
     pred = counts.sum(axis=0).astype(np.float64)
     true = counts.sum(axis=1).astype(np.float64)
     if mu == 0:
-        for j in range(n):
-            if joint[j] == 0 or pred[j] == 0 or true[j] == 0:
-                raise ValidationError(
-                    f"class {j}: zero count with mu=0 makes the PMI ratio undefined"
-                )
+        bad = np.flatnonzero((joint == 0) | (pred == 0) | (true == 0))
+        if bad.size:
+            raise ValidationError(
+                f"class {bad[0]}: zero count with mu=0 makes the PMI ratio undefined"
+            )
     return _pmi(joint, pred, true + mu, m + mu * n, mu)
 
 
@@ -239,14 +202,13 @@ def class_report(
     scale: WeightScale | None = None,
 ) -> ClassAccuracyReport:
     """Full accuracy/imbalance report for a dataset under a selection."""
-    cm = confusion(dataset, selection, scale)
-    return report_from_confusion(cm)
+    return report_from_counts(confusion(dataset, selection, scale))
 
 
-def report_from_confusion(cm: ConfusionMatrix) -> ClassAccuracyReport:
-    acc = per_class_accuracy(cm)
-    odd = odd_classes(cm)
-    overall = float(np.diag(cm.counts).sum() / cm.num_samples)
+def report_from_counts(counts: np.ndarray) -> ClassAccuracyReport:
+    acc = accuracy_from_counts(counts)
+    odd = odd_classes(counts)
+    overall = float(np.diag(counts).sum() / counts.sum())
     return ClassAccuracyReport(
         per_class=readonly_array(acc),
         overall=overall,
@@ -266,17 +228,17 @@ def report_document(
 
     The schema is versioned; see the README for field documentation.
     """
-    cm = confusion(dataset, selection, scale)
-    rep = report_from_confusion(cm)
-    pmi = pmi_from_counts(cm.counts, mu)
+    counts = confusion(dataset, selection, scale)
+    rep = report_from_counts(counts)
+    pmi = pmi_from_counts(counts, mu)
     return {
         "schema_version": 1,
         "kind": "evaluation_report",
         "num_samples": dataset.num_samples,
         "num_classes": dataset.num_classes,
-        "confusion": cm.counts.tolist(),
-        "class_totals": cm.class_totals.tolist(),
-        "prediction_totals": cm.prediction_totals.tolist(),
+        "confusion": counts.tolist(),
+        "class_totals": counts.sum(axis=1).tolist(),
+        "prediction_totals": counts.sum(axis=0).tolist(),
         "per_class_accuracy": [None if np.isnan(a) else float(a) for a in rep.per_class],
         "overall_accuracy": rep.overall,
         "cobias": rep.cobias,

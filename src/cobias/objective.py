@@ -180,7 +180,7 @@ def evaluate(
     config: ObjectiveConfig,
 ) -> ObjectiveValue:
     """Full objective evaluation for one selection."""
-    return objective_from_counts(confusion(dataset, selection, scale).counts, config)
+    return objective_from_counts(confusion(dataset, selection, scale), config)
 
 
 class IncrementalEvaluator:

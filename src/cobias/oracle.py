@@ -40,7 +40,7 @@ def enumerate_optimum(
     best_val: ObjectiveValue | None = None
     for sel in product(range(1, k + 1), repeat=n):
         selection = WeightSelection(sel)
-        val = objective_from_counts(confusion(dataset, selection, scale).counts, config)
+        val = objective_from_counts(confusion(dataset, selection, scale), config)
         if best_val is None or val.total < best_val.total:
             best_sel, best_val = selection, val
     assert best_sel is not None and best_val is not None

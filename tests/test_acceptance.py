@@ -233,8 +233,8 @@ def test_criterion_7_correction_directionality(biased_pair, trained_full_objecti
     """The learned coefficient for the most under-predicted class must
     strictly exceed the one for the most over-predicted class."""
     opt, _ = biased_pair
-    cm = confusion(opt)
-    gap = cm.prediction_totals - cm.class_totals
+    counts = confusion(opt)
+    gap = counts.sum(axis=0) - counts.sum(axis=1)
     over = int(np.argmax(gap))
     under = int(np.argmin(gap))
     coeffs = trained_full_objective.selection.coefficients(WeightScale(30))

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from cobias import (
-    AnnealSchedule,
-    ObjectiveConfig,
     ProbabilityDataset,
     ValidationError,
     WeightScale,
+    WeightSelection,
     batch_calibrate,
     class_report,
     compare_methods,
@@ -63,11 +62,10 @@ class TestBatchCalibrate:
 
 
 @pytest.fixture(scope="module")
-def comparison(biased_pair):
-    opt, test = biased_pair
-    return compare_methods(
-        opt, test, WeightScale(30), ObjectiveConfig(), AnnealSchedule(seed=0)
-    )
+def comparison(biased_pair, trained_full_objective):
+    # the selection annealed on the optimization set, scored on the test set
+    _, test = biased_pair
+    return compare_methods(test, trained_full_objective.selection, WeightScale(30))
 
 
 class TestCompareMethods:
@@ -87,17 +85,23 @@ class TestCompareMethods:
         assert identity.cobias == report.cobias
         assert identity.cobias_single == report.cobias_single
 
+    def test_dnip_row_matches_direct_report(self, comparison, biased_pair,
+                                            trained_full_objective):
+        _, test = biased_pair
+        report = class_report(test, trained_full_objective.selection, WeightScale(30))
+        dnip = comparison[2]
+        assert dnip.method == "dnip"
+        assert dnip.accuracy == report.overall
+        assert dnip.error_rate == 1.0 - report.overall
+        assert dnip.cobias == report.cobias
+        assert dnip.cobias_single == report.cobias_single
+
     def test_dnip_row_beats_identity_cobias(self, comparison):
         identity, _, dnip = comparison
         assert dnip.cobias <= identity.cobias
 
     def test_class_count_mismatch_rejected(self):
+        # a selection for 2 classes cannot score a 3-class test set
         rng = np.random.default_rng(1)
-        with pytest.raises(ValidationError, match="classes"):
-            compare_methods(
-                random_dataset(rng, 10, 2),
-                random_dataset(rng, 10, 3),
-                WeightScale(3),
-                ObjectiveConfig(),
-                AnnealSchedule(seed=0),
-            )
+        with pytest.raises(ValidationError, match="selection has 2 entries, expected 3"):
+            compare_methods(random_dataset(rng, 10, 3), WeightSelection((1, 1)), WeightScale(3))

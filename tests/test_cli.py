@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cobias import data
+from cobias import cli, data
 from cobias import (
     ObjectiveConfig,
     ProbabilityDataset,
@@ -253,6 +253,25 @@ class TestOptimizeAndApply:
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: beta, tau, and mu must be nonnegative"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep", "compare"])
+    def test_class_count_mismatch_rejected_before_any_anneal(
+        self, runner, tmp_path, monkeypatch, command
+    ):
+        rng = np.random.default_rng(3)
+        opt = _write_dataset(tmp_path, random_dataset(rng, 40, 2), "opt.jsonl")
+        test = _write_dataset(tmp_path, random_dataset(rng, 30, 3), "test.jsonl")
+        out = tmp_path / "rows.json"
+        anneals = []
+        monkeypatch.setattr("cobias.cli.anneal", lambda *args: anneals.append(args))
+        sizes = ["--sizes", "20"] if command == "sweep" else []
+        result = runner.invoke(main, [command, opt, test, *sizes, "--json", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: optimization set has 2 classes but test set has 3"
+        ]
+        assert anneals == [] and not out.exists()
 
     @pytest.mark.parametrize("command, flag", [(["ablate"], ["--terms", "z1"]),
                                                (["sweep", "--sizes", "30"], ["--seed", "3"])])
@@ -679,3 +698,14 @@ class TestGenerateAndCompare:
         for row in doc["rows"]:
             for key in ("accuracy", "error_rate", "cobias", "cobias_single"):
                 assert np.isfinite(row[key])
+
+    def test_compare_anneals_through_the_cli(self, runner, small_sets, monkeypatch):
+        # the benchmark's tracer wraps cli.anneal, so compare must call it
+        opt, test = small_sets
+        calls = []
+        real = cli.anneal
+        monkeypatch.setattr(cli, "anneal", lambda *args: calls.append(args) or real(*args))
+        result = runner.invoke(main, ["compare", opt, test, "--k", "3", "--tmax", "10",
+                                      "--tmin", "1"])
+        assert result.exit_code == 0
+        assert len(calls) == 1

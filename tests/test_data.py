@@ -219,6 +219,31 @@ class TestLoadDataset:
                 tracemalloc.stop()
         assert peak <= 2.5 * p.stat().st_size
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_text_is_released_before_the_arrays_are_copied(self, tmp_path, monkeypatch, fmt):
+        # from_arrays copies the parsed arrays; the decoded text, about the
+        # file's size, must be gone by then, leaving only the arrays
+        p = tmp_path / f"d.{fmt}"
+        save_dataset(random_dataset(np.random.default_rng(0), 20_000, 10), p, fmt)
+        from_arrays = ProbabilityDataset.from_arrays
+        held = []
+
+        def recording(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return from_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(ProbabilityDataset, "from_arrays", recording)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load_dataset(p, fmt)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] - before < 0.5 * p.stat().st_size
+
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"probs":[0.5,0.5],"label":0}\n')

@@ -14,10 +14,9 @@ from cobias import (
     cobias_single,
     confusion,
     odd_classes,
-    per_class_accuracy,
     predict_dataset,
 )
-from cobias.metrics import pmi_from_counts, report_document
+from cobias.metrics import accuracy_from_counts, pmi_from_counts, report_document
 
 from helpers import REFERENCE_COUNTS, REFERENCE_ROW_TOTALS, dataset_from_confusion
 
@@ -56,22 +55,20 @@ class TestPredict:
 class TestConfusion:
     def test_direct_count(self):
         ds = ProbabilityDataset.from_arrays([[0.9, 0.1], [0.8, 0.2]], [0, 1])
-        cm = confusion(ds)
-        assert cm.counts.tolist() == [[1, 0], [1, 0]]
+        assert confusion(ds).tolist() == [[1, 0], [1, 0]]
 
     def test_all_correct_is_diagonal(self):
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.1, 0.7]], [0, 1, 2]
         )
-        cm = confusion(ds)
-        assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert confusion(ds).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_reference_counts_reconstruction(self):
         ds = dataset_from_confusion(REFERENCE_COUNTS)
-        cm = confusion(ds)
-        assert cm.counts.tolist() == [list(r) for r in REFERENCE_COUNTS]
-        assert cm.class_totals.tolist() == list(REFERENCE_ROW_TOTALS)
-        assert cm.num_samples == 5000
+        counts = confusion(ds)
+        assert counts.tolist() == [list(r) for r in REFERENCE_COUNTS]
+        assert counts.sum(axis=1).tolist() == list(REFERENCE_ROW_TOTALS)
+        assert counts.sum() == 5000
         report = class_report(ds)
         assert report.overall == 3742 / 5000
 
@@ -79,7 +76,16 @@ class TestConfusion:
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(3), size=50)
         ds = ProbabilityDataset.from_arrays(probs, rng.integers(0, 3, 50))
-        assert np.array_equal(confusion(ds).counts, confusion(ds).counts)
+        assert np.array_equal(confusion(ds), confusion(ds))
+
+    def test_counts_are_a_read_only_int64_array(self):
+        ds = dataset_from_confusion([[3, 1, 0], [0, 4, 2], [1, 0, 5]])
+        counts = confusion(ds)
+        assert type(counts) is np.ndarray
+        assert counts.dtype == np.int64
+        assert counts.shape == (3, 3)
+        with pytest.raises(ValueError):
+            counts[0, 0] = 7
 
 
 class TestCobias:
@@ -146,9 +152,9 @@ class TestOddClasses:
 class TestCobiasSingle:
     def test_reference_value(self):
         ds = dataset_from_confusion(REFERENCE_COUNTS)
-        cm = confusion(ds)
-        acc = per_class_accuracy(cm)
-        odd = odd_classes(cm)
+        counts = confusion(ds)
+        acc = accuracy_from_counts(counts)
+        odd = odd_classes(counts)
         got = cobias_single(acc, odd)
         # direct-computation oracle from the exact count fractions
         exact = [c[i] / t for i, (c, t) in enumerate(zip(REFERENCE_COUNTS, REFERENCE_ROW_TOTALS))]
@@ -160,9 +166,9 @@ class TestCobiasSingle:
         # one off-diagonal error in row 0 toward class 1
         counts = [[5, 1], [0, 4]]
         ds = dataset_from_confusion(counts)
-        cm = confusion(ds)
-        acc = per_class_accuracy(cm)
-        got = cobias_single(acc, odd_classes(cm))
+        counts = confusion(ds)
+        acc = accuracy_from_counts(counts)
+        got = cobias_single(acc, odd_classes(counts))
         assert got == pytest.approx(abs(acc[1] - acc[0]), abs=1e-12)
 
     def test_all_none_is_zero(self):
@@ -177,7 +183,7 @@ class TestPmi:
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7], [0.1, 0.9]], [0, 0, 1, 1]
         )
-        pmi = pmi_from_counts(confusion(ds).counts, 0.0)
+        pmi = pmi_from_counts(confusion(ds), 0.0)
         assert pmi[1] == pytest.approx(math.log(4 / 3), abs=1e-12)
         assert pmi[0] == pytest.approx(math.log((1 / 4) / ((1 / 4) * (1 / 2))), abs=1e-12)
 
@@ -186,7 +192,7 @@ class TestPmi:
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.1], [0.1, 0.9], [0.9, 0.1], [0.1, 0.9]], [0, 0, 1, 1]
         )
-        pmi = pmi_from_counts(confusion(ds).counts, 0.0)
+        pmi = pmi_from_counts(confusion(ds), 0.0)
         assert pmi[0] == 0.0
         assert pmi[1] == 0.0
 
@@ -196,7 +202,7 @@ class TestPmi:
         probs = np.tile([0.9, 0.1], (m, 1))
         labels = np.array([0] * 50 + [1] * 50)
         ds = ProbabilityDataset.from_arrays(probs, labels)
-        pmi = pmi_from_counts(confusion(ds).counts, mu)
+        pmi = pmi_from_counts(confusion(ds), mu)
         # independent oracle: compute each smoothed ratio separately
         denom = m + mu * n
         f_joint = (0 + mu) / denom
@@ -209,7 +215,11 @@ class TestPmi:
         probs = np.tile([0.9, 0.1], (10, 1))
         ds = ProbabilityDataset.from_arrays(probs, [0] * 5 + [1] * 5)
         with pytest.raises(ValidationError, match="class 1"):
-            pmi_from_counts(confusion(ds).counts, 0.0)
+            pmi_from_counts(confusion(ds), 0.0)
+        # classes 1 and 3 are never predicted; the lower index is named
+        counts = np.array([[2, 0, 1, 0], [1, 0, 1, 0], [0, 0, 3, 0], [1, 0, 1, 0]])
+        with pytest.raises(ValidationError, match=r"^class 1: zero count"):
+            pmi_from_counts(counts, 0.0)
 
     def test_positive_smoothing_always_finite(self):
         rng = np.random.default_rng(3)
@@ -217,7 +227,7 @@ class TestPmi:
             n = int(rng.integers(2, 6))
             probs = rng.dirichlet(np.ones(n), size=30)
             ds = ProbabilityDataset.from_arrays(probs, rng.integers(0, n, 30))
-            assert np.all(np.isfinite(pmi_from_counts(confusion(ds).counts, 1e-3)))
+            assert np.all(np.isfinite(pmi_from_counts(confusion(ds), 1e-3)))
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValidationError):

@@ -267,6 +267,6 @@ class TestIncrementalEvaluator:
             state.apply(c, idx)  # kind 2: commit without a prior propose
             indices[c] = idx
             sel = WeightSelection(tuple(indices))
-            expected = confusion(ds, sel, scale).counts
+            expected = confusion(ds, sel, scale)
             assert (state._counts == expected).all()
             assert state.value.total == evaluate(ds, sel, scale, cfg).total
