@@ -7,6 +7,11 @@ best selection seen anywhere in the run is tracked separately and returned.
 
 The search starts from the all-ones coefficient vector (every class on the
 top scale point), i.e. from the uncorrected baseline predictions.
+
+Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
+makes enough proposals that scoring the whole search space costs fewer row
+passes (``_tabulates``), by lookups into ``objective_table``. Both give the
+same values, so a seeded run gives the same result either way.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
-from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue
+from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue, objective_table
+from .oracle import DEFAULT_BUDGET
 
 DEFAULT_T_MAX = 200000.0
 DEFAULT_T_MIN = 0.1
@@ -50,12 +56,20 @@ class AnnealSchedule:
     def __post_init__(self):
         if not (self.t_max > 0 and self.t_min > 0):
             raise ValidationError("temperatures must be positive")
+        if not (math.isfinite(self.t_max) and math.isfinite(self.t_min)):
+            raise ValidationError("temperatures must be finite")
         if not self.t_min < self.t_max:
             raise ValidationError("t_min must be below t_max")
+        if self.t_min / self.t_max == 0:  # log(0): outer_iterations() would raise
+            raise ValidationError(
+                "t_min / t_max underflows to 0, so the number of temperature levels is not finite"
+            )
         if not 0 < self.alpha < 1:
             raise ValidationError("alpha must lie in (0, 1)")
         if not self.lam > 0:
             raise ValidationError("lambda must be positive")
+        if not math.isfinite(self.lam):
+            raise ValidationError("lambda must be finite")
         if self.max_accepted is not None and self.max_accepted < 1:
             raise ValidationError("max_accepted must be positive")
         if self.seed < 0:  # numpy seeds a generator from nonnegative integers only
@@ -123,6 +137,65 @@ def _draw_move(rng: np.random.Generator, indices: np.ndarray, k_points: int) -> 
     return c, new_index
 
 
+class _TableEvaluator:
+    """The chain's evaluator over a whole ``objective_table``.
+
+    The current selection is a mixed-radix flat index into the table (digit
+    ``index - 1`` per class, the last class least significant), so a move
+    is a stride times the index change and a value is a lookup.
+    """
+
+    def __init__(
+        self,
+        dataset: ProbabilityDataset,
+        scale: WeightScale,
+        config: ObjectiveConfig,
+        selection: WeightSelection,
+    ):
+        n, k = dataset.num_classes, scale.k_points
+        self._table = objective_table(dataset, scale, config)
+        self._strides = [k ** (n - 1 - c) for c in range(n)]
+        self._indices = list(selection.indices)
+        self._flat = sum((i - 1) * s for i, s in zip(self._indices, self._strides))
+
+    @property
+    def value(self) -> ObjectiveValue:
+        return self._at(self._flat)
+
+    def _at(self, flat: int) -> ObjectiveValue:
+        t = self._table
+        return ObjectiveValue(*(None if v is None else float(v[flat]) for v in
+                                (t.z1_error_rate, t.z2_cobias, t.z3_pmi_sum, t.total)))
+
+    def _moved(self, class_index: int, new_index: int) -> int:
+        return self._flat + (new_index - self._indices[class_index]) * self._strides[class_index]
+
+    def propose(self, class_index: int, new_index: int) -> ObjectiveValue:
+        return self._at(self._moved(class_index, new_index))
+
+    def apply(self, class_index: int, new_index: int) -> None:
+        self._flat = self._moved(class_index, new_index)
+        self._indices[class_index] = new_index
+
+
+def _tabulates(num_classes: int, k_points: int, schedule: AnnealSchedule) -> bool:
+    """Whether a run reads its values from ``objective_table`` instead of
+    scoring each proposal with ``IncrementalEvaluator``.
+
+    Both costs are counted in passes over the rows. The table makes N-1+K
+    per prefix of the first N-1 indices, K^(N-1) prefixes; a proposal makes
+    at least three (an up move's multiply, compare and ``flatnonzero``), and
+    a run makes at least P_min, the level count times the smaller of the
+    acceptance and proposal limits. So the table is built when
+    K^(N-1) * (N-1+K) <= 3 * P_min and the space fits the oracle's budget.
+    """
+    n, k = num_classes, k_points
+    fewest = schedule.outer_iterations() * min(
+        schedule.acceptances_per_temperature(n, k), schedule.proposals_per_temperature(n, k)
+    )
+    return k**n <= DEFAULT_BUDGET and k ** (n - 1) * (n - 1 + k) <= 3 * fewest
+
+
 def predicted_complexity(num_classes: int, k_points: int, schedule: AnnealSchedule) -> int:
     """Upper bound on the number of proposals a run can generate:
 
@@ -148,7 +221,8 @@ def anneal(
     n = dataset.num_classes
     k = scale.k_points
     init = WeightSelection.identity(n, scale)
-    evaluator = IncrementalEvaluator(dataset, scale, config, init)
+    evaluator_type = _TableEvaluator if _tabulates(n, k, schedule) else IncrementalEvaluator
+    evaluator = evaluator_type(dataset, scale, config, init)
     evaluations = 1
 
     if k == 1:

@@ -90,17 +90,18 @@ def _gap_weights(defined: int, total: int) -> tuple[np.ndarray, float] | None:
     return 2.0 * np.arange(defined) - (defined - 1), defined * (defined - 1) / 2
 
 
-def _pairwise_gap(acc: np.ndarray, weights: np.ndarray, pairs: float) -> float:
-    """Mean absolute pairwise difference of ``acc`` (no NaN entries).
+def _pairwise_gap(acc: np.ndarray, weights: np.ndarray, pairs: float) -> np.ndarray:
+    """Mean absolute pairwise difference along the last axis of ``acc`` (no
+    NaN entries), as a float64 array with that axis removed.
 
-    Sorting makes the result exactly permutation invariant; anchoring at the
-    minimum makes equal inputs yield exactly 0.
+    Sorting makes the result exactly permutation invariant. Anchoring at the
+    minimum makes equal inputs yield exactly 0: every difference is then +0,
+    and so is any sum that includes the last, positively weighted, one. Each
+    row is summed by numpy's reduction over one contiguous row, so a stack of
+    rows gives the values of the rows taken one at a time.
     """
-    a = np.sort(acc)
-    if a[0] == a[-1]:
-        return 0.0
-    a = a - a[0]
-    return float((a * weights).sum() / pairs)
+    a = np.ascontiguousarray(np.sort(acc, axis=-1))
+    return ((a - a[..., :1]) * weights).sum(axis=-1) / pairs
 
 
 def cobias(per_class) -> float:
@@ -114,7 +115,7 @@ def cobias(per_class) -> float:
         raise ValidationError("need accuracies for at least 2 classes")
     defined = vals[~np.isnan(vals)]
     gap = _gap_weights(defined.size, vals.size)
-    return 0.0 if gap is None else _pairwise_gap(defined, *gap)
+    return 0.0 if gap is None else float(_pairwise_gap(defined, *gap))
 
 
 def odd_classes(counts: np.ndarray) -> tuple[int | None, ...]:

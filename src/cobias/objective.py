@@ -1,4 +1,5 @@
-"""The correction objective and its incremental evaluation fast path.
+"""The correction objective, its table over a whole search space, and its
+incremental evaluation fast path.
 
 For a weight selection xi the objective combines three terms computed from
 the reweighted argmax predictions on the optimization set:
@@ -13,13 +14,18 @@ All three terms are pure functions of the integer confusion counts. A
 reweighting moves samples between predicted classes but never changes the
 true-class totals M_i, so everything built from the totals and the config
 alone is computed once per dataset by ``_Objective``, which also issues the
-"classes without true samples" warning once. The full and incremental
-evaluators share that counts-to-value core, whose arithmetic is the metrics
-module's, and agree bit-for-bit.
+"classes without true samples" warning once. It scores one counts matrix or
+a stack of them with the same float operations, and its arithmetic is the
+metrics module's. Two evaluators build on it and agree bit-for-bit with a
+full evaluation: ``objective_table`` scores all K^N selections by a
+threshold sweep (the oracle's search, and the annealer's when that is
+cheaper than its chain), and ``IncrementalEvaluator`` scores one move at a
+time. They share no code, so each cross-checks the other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,6 +81,9 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.beta < 0 or self.tau < 0 or self.mu < 0:
             raise ValidationError("beta, tau, and mu must be nonnegative")
+        if not all(math.isfinite(v) for v in (self.beta, self.tau, self.mu)):
+            # NaN slips past "< 0", and either would end in a non-finite objective
+            raise ValidationError("beta, tau, and mu must be finite")
         if not (self.use_z1 or self.use_z2 or self.use_z3):
             raise ValidationError("at least one objective term must be enabled")
         if self.use_z3 and self.mu == 0:
@@ -144,23 +153,27 @@ class _Objective:
         self._denom = self._m + config.mu * true_totals.size
 
     def __call__(self, counts: np.ndarray) -> ObjectiveValue:
+        """Value of one (N, N) counts matrix, or of a (B, N, N) stack, whose
+        fields are then (B,) float64 arrays equal to the B single values."""
         config = self.config
-        diag = counts.diagonal()
+        # C order, so every sum below reduces one contiguous row per matrix
+        diag = np.ascontiguousarray(counts.diagonal(axis1=-2, axis2=-1))
         z1 = z2 = z3 = None
         total = 0.0
         if config.use_z1:
-            z1 = float((self._m - int(diag.sum())) / self._m)
+            z1 = (self._m - diag.sum(axis=-1)) / self._m
             total += z1
         if config.use_z2:
-            z2 = 0.0
+            z2 = np.zeros(diag.shape[:-1])
             if self._gap is not None:
-                acc = diag[self._present] / self._present_totals
-                z2 = _pairwise_gap(acc, *self._gap)
+                z2 = _pairwise_gap(diag[..., self._present] / self._present_totals, *self._gap)
             total += config.beta * z2
         if config.use_z3:
-            pmi = _pmi(diag, counts.sum(axis=0), self._true_mu, self._denom, config.mu)
-            z3 = float(pmi.sum())
+            z3 = _pmi(diag, counts.sum(axis=-2), self._true_mu, self._denom, config.mu).sum(axis=-1)
             total -= config.tau * z3
+        if counts.ndim == 2:
+            z1, z2, z3 = (None if v is None else float(v) for v in (z1, z2, z3))
+            total = float(total)
         return ObjectiveValue(z1_error_rate=z1, z2_cobias=z2, z3_pmi_sum=z3, total=total)
 
 
@@ -181,6 +194,80 @@ def evaluate(
 ) -> ObjectiveValue:
     """Full objective evaluation for one selection."""
     return objective_from_counts(confusion(dataset, selection, scale), config)
+
+
+# Bytes of row-sized temporaries, summed over one chunk of prefixes, that
+# ``objective_table`` aims for.
+_TABLE_CHUNK_BYTES = 1 << 20
+
+
+def objective_table(
+    dataset: ProbabilityDataset,
+    scale: WeightScale,
+    config: ObjectiveConfig,
+) -> ObjectiveValue:
+    """The objective of all K^N selections, in ``itertools.product`` order
+    (the last class's index varies fastest), as an ``ObjectiveValue`` of
+    (K^N,) float64 arrays (None for disabled terms).
+
+    A threshold sweep per prefix, the first N-1 indices: reducing those
+    classes one at a time with a strict ">" gives each row's prediction and
+    best score with argmax's first-index rule. The last class has the
+    highest index, so it takes a row at scale point k exactly when
+    ``p_last * (k/K) > best``, and those points form a suffix of the scale.
+    Counting per row the points where ``p_last * (k/K) <= best``, one
+    bincount over (label, prediction, count) and a cumulative sum over the
+    count give the prefix's K confusion matrices at once. Every score is the
+    product ``p * (index / K)`` that ``confusion`` forms, so each matrix
+    equals its ``confusion`` counts and each value its ``evaluate``.
+
+    Prefixes go in chunks whose temporaries stay near ``_TABLE_CHUNK_BYTES``;
+    each chunk's matrices are scored as one stack as soon as they are built,
+    so the K^N matrices never exist at once. The table shares no code with
+    ``IncrementalEvaluator``, which it cross-checks.
+    """
+    n, k, m = dataset.num_classes, scale.k_points, dataset.num_samples
+    probs_t = np.ascontiguousarray(dataset.probs.T)
+    true_totals = np.bincount(dataset.labels, minlength=n)
+    objective = _Objective(true_totals, config)
+    points = np.arange(1, k + 1) / k
+    label_cells = dataset.labels * (n - 1)
+    prefixes = k ** (n - 1)
+    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * (5 * m + 3 * k * n * n)))
+    enabled = (config.use_z1, config.use_z2, config.use_z3, True)
+    table = [np.empty(k**n) if on else None for on in enabled]
+    for start in range(0, prefixes, chunk):
+        size = min(chunk, prefixes - start)
+        digits = np.unravel_index(np.arange(start, start + size), (k,) * (n - 1))
+        weights = [((d + 1) / k)[:, None] for d in digits]
+        best = probs_t[0] * weights[0]
+        preds = np.zeros(best.shape, dtype=np.int64)
+        for j in range(1, n - 1):
+            col = probs_t[j] * weights[j]
+            preds[col > best] = j
+            np.maximum(best, col, out=best)
+        below = np.zeros(best.shape, dtype=np.int64)
+        for w in points:
+            below += probs_t[-1] * w <= best
+        key = preds  # (prefix, label, prediction, count) as one flat cell
+        key += label_cells
+        key += (np.arange(size) * (n * (n - 1)))[:, None]
+        key *= k + 1
+        key += below
+        hist = np.bincount(key.ravel(), minlength=size * n * (n - 1) * (k + 1))
+        hist = hist.reshape(size, n, n - 1, k + 1)
+        # kept[..., j]: rows whose prefix prediction survives scale point j + 1
+        kept = np.cumsum(hist[..., :0:-1], axis=-1)[..., ::-1]
+        counts = np.empty((size, k, n, n), dtype=np.int64)
+        counts[..., :-1] = kept.transpose(0, 3, 1, 2)
+        counts[..., -1] = true_totals - kept.sum(axis=2).transpose(0, 2, 1)
+        value = objective(counts.reshape(-1, n, n))
+        rows = slice(start * k, (start + size) * k)
+        for out, v in zip(table, (value.z1_error_rate, value.z2_cobias, value.z3_pmi_sum,
+                                  value.total)):
+            if out is not None:
+                out[rows] = v
+    return ObjectiveValue(*table)
 
 
 class IncrementalEvaluator:

@@ -1,19 +1,22 @@
 """Exhaustive search over all K^N weight selections.
 
 Exponential but exact; used as the ground-truth optimizer when validating the
-annealer on small instances. The lexicographically smallest selection among
-those attaining the minimum is returned, which makes the result canonical and
-independent of enumeration order.
+annealer on small instances. The whole search space is scored by
+``objective.objective_table``, a threshold sweep over chunks of index
+prefixes that shares no code with the annealer's incremental evaluator. The
+lexicographically smallest selection among those attaining the minimum is
+returned, which makes the result canonical and independent of enumeration
+order.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
 from .metrics import confusion
-from .objective import ObjectiveConfig, ObjectiveValue, objective_from_counts
+from .objective import ObjectiveConfig, ObjectiveValue, objective_from_counts, objective_table
 
 DEFAULT_BUDGET = 10**6
 
@@ -28,6 +31,8 @@ def enumerate_optimum(
 
     Refuses instances with K^N above ``budget``; the refusal message carries
     the exact selection count so callers can raise the cap deliberately.
+    The first minimum in ``itertools.product`` order is the smallest
+    selection; its value is evaluated again from its confusion counts.
     """
     n = dataset.num_classes
     k = scale.k_points
@@ -36,12 +41,9 @@ def enumerate_optimum(
         raise ValidationError(
             f"enumeration would evaluate {count} selections, above the budget of {budget}"
         )
-    best_sel: WeightSelection | None = None
-    best_val: ObjectiveValue | None = None
-    for sel in product(range(1, k + 1), repeat=n):
-        selection = WeightSelection(sel)
-        val = objective_from_counts(confusion(dataset, selection, scale), config)
-        if best_val is None or val.total < best_val.total:
-            best_sel, best_val = selection, val
-    assert best_sel is not None and best_val is not None
-    return best_sel, best_val
+    table = objective_table(dataset, scale, config)
+    best = int(np.argmin(table.total))
+    selection = WeightSelection(tuple(int(d) + 1 for d in np.unravel_index(best, (k,) * n)))
+    value = objective_from_counts(confusion(dataset, selection, scale), config)
+    assert value.total == table.total[best], "table and full evaluation disagree"
+    return selection, value

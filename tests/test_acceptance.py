@@ -27,6 +27,7 @@ from cobias import (
     predicted_complexity,
     save_dataset,
 )
+from cobias import annealer
 from cobias.cli import main as cli_main
 from cobias.objective import TERM_COMBINATIONS
 
@@ -79,10 +80,12 @@ def test_criterion_1_reference_metric_reproduction(tmp_path):
     )
 
 
-def test_criterion_2_oracle_equivalence():
+def test_criterion_2_oracle_equivalence(monkeypatch):
     """Over 100 seeded runs on small random instances the annealed objective
     must match the enumeration optimum within 1e-12 at least 95 times and
-    never be lower."""
+    never be lower. The first 20 are annealed again with every proposal
+    scored by the incremental evaluator instead of the objective table, and
+    must give the identical result."""
     start = time.perf_counter()
     matches = 0
     min_gap = np.inf
@@ -93,7 +96,17 @@ def test_criterion_2_oracle_equivalence():
         ds = random_dataset(rng, 200, n)
         scale = WeightScale(k)
         config = ObjectiveConfig(beta=2.7, tau=0.2, mu=1e-3)
-        annealed = anneal(ds, scale, config, AnnealSchedule(seed=run_seed))
+        schedule = AnnealSchedule(seed=run_seed)
+        annealed = anneal(ds, scale, config, schedule)
+        if run_seed < 20:
+            assert annealer._tabulates(n, k, schedule)
+            with monkeypatch.context() as patch:
+                patch.setattr(annealer, "_tabulates", lambda *args: False)
+                chain = anneal(ds, scale, config, schedule)
+            assert (chain.selection, chain.value, chain.trace.records,
+                    chain.trace.total_evaluations) == (
+                annealed.selection, annealed.value, annealed.trace.records,
+                annealed.trace.total_evaluations), f"seed {run_seed}: the two paths differ"
         _, optimum = enumerate_optimum(ds, scale, config)
         gap = annealed.value.total - optimum.total
         min_gap = min(min_gap, gap)

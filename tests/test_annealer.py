@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from cobias import (
     predicted_complexity,
 )
 from cobias import annealer
-from cobias.annealer import _draw_move, write_trace
+from cobias.annealer import _draw_move, _tabulates, write_trace
+from cobias.objective import TERM_COMBINATIONS
 
 from helpers import random_dataset
 
@@ -32,6 +34,23 @@ class TestSchedule:
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
             AnnealSchedule(seed=-1)
         assert AnnealSchedule(seed=0).seed == 0
+        with pytest.raises(ValidationError, match="temperatures must be finite"):
+            AnnealSchedule(t_max=math.inf)
+        with pytest.raises(ValidationError, match="lambda must be finite"):
+            AnnealSchedule(lam=math.inf)
+        for t_min, t_max in [(1e-320, 200000.0), (5e-324, 4.0), (1e-300, 1e300)]:
+            with pytest.raises(ValidationError, match="underflows to 0"):
+                AnnealSchedule(t_max=t_max, t_min=t_min)
+
+    def test_accepted_schedules_have_a_finite_level_count(self):
+        # the smallest ratio, the alphas nearest 0 and 1, and a huge lambda:
+        # outer_iterations() and the per-level limits never raise
+        tiny = math.ulp(0.0)
+        for t_min, t_max in [(tiny, 1.0), (1e-300, 1e7), (0.1, 200000.0)]:
+            for alpha in (tiny, 0.5, 1 - 2**-53):
+                schedule = AnnealSchedule(t_max=t_max, t_min=t_min, alpha=alpha, lam=1e300)
+                assert schedule.outer_iterations() >= 1
+                assert schedule.proposals_per_temperature(2, 2) > 0
 
     def test_default_acceptance_limit(self):
         s = AnnealSchedule()
@@ -97,6 +116,43 @@ class TestPredictedComplexity:
         base = AnnealSchedule(lam=1.0)
         double = AnnealSchedule(lam=2.0)
         assert predicted_complexity(4, 30, double) == 2 * predicted_complexity(4, 30, base)
+
+
+class TestTabulation:
+    def test_rule_pins_the_benchmark_shapes(self):
+        # K^(N-1) * (N-1+K) row passes for the table against three per
+        # proposal over the fewest proposals the schedule makes
+        assert _tabulates(4, 10, AnnealSchedule())  # search-small: 13,000 <= 16,980
+        assert _tabulates(3, 30, AnnealSchedule())  # 28,800 <= 38,205
+        assert not _tabulates(10, 30, AnnealSchedule(alpha=0.8))  # fit-tall
+        assert not _tabulates(4, 30, AnnealSchedule())
+        assert not _tabulates(8, 3, AnnealSchedule())  # 21,870 > 10,188
+        assert not _tabulates(4, 10, AnnealSchedule(alpha=0.748))  # 13,000 > 3,000
+
+    @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
+    def test_table_and_incremental_chains_agree(self, terms, monkeypatch):
+        # Probabilities in multiples of 1/8 on K=2 and K=4 tie exactly under
+        # the weights, and the last label never occurs, so one class has no
+        # true samples; the result, trace and proposal count must not depend
+        # on which evaluator scored the chain.
+        rng = np.random.default_rng(59)
+        cfg = ObjectiveConfig.with_terms(terms)
+        schedule = AnnealSchedule(t_max=1.0, t_min=1e-3, alpha=0.8, seed=int(rng.integers(99)))
+        for n, k in [(2, 4), (3, 2), (3, 4), (4, 3)]:
+            probs = rng.multinomial(8, np.full(n, 1 / n), size=60) / 8
+            labels = rng.integers(n, size=60) if k == 3 else rng.integers(n - 1, size=60)
+            ds = ProbabilityDataset.from_arrays(probs, labels)
+            assert _tabulates(n, k, schedule)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = anneal(ds, WeightScale(k), cfg, schedule)
+                with monkeypatch.context() as patch:
+                    patch.setattr(annealer, "_tabulates", lambda *args: False)
+                    chain = anneal(ds, WeightScale(k), cfg, schedule)
+            assert table.selection == chain.selection
+            assert table.value == chain.value
+            assert table.trace.records == chain.trace.records
+            assert table.trace.total_evaluations == chain.trace.total_evaluations
 
 
 class TestAnneal:

@@ -254,6 +254,38 @@ class TestOptimizeAndApply:
         assert result.stderr.splitlines() == ["error: beta, tau, and mu must be nonnegative"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tmax", "inf", "temperatures must be finite"),
+        ("--tmin", "1e-320",
+         "t_min / t_max underflows to 0, so the number of temperature levels is not finite"),
+        ("--lambda", "inf", "lambda must be finite"),
+        ("--tau", "nan", "beta, tau, and mu must be finite"),
+        ("--beta", "inf", "beta, tau, and mu must be finite"),
+        ("--mu", "inf", "beta, tau, and mu must be finite"),
+        ("--mu", "nan", "beta, tau, and mu must be finite"),
+    ])
+    def test_nonfinite_flag_rejected_before_any_work(
+        self, runner, tmp_path, command, flag, value, message
+    ):
+        # a schedule flag like these would otherwise fail partway through the
+        # anneal, and an objective flag would write an artifact whose
+        # objective is not finite; the datasets are missing, so any read
+        # would end in an i/o error instead
+        out = tmp_path / "a.json"
+        missing = [str(tmp_path / "missing-opt.jsonl"), str(tmp_path / "missing-test.jsonl")]
+        args = {
+            "optimize": ["optimize", missing[0], "--out", str(out)],
+            "ablate": ["ablate", *missing, "--json", str(out)],
+            "sweep": ["sweep", *missing, "--sizes", "30", "--json", str(out)],
+            "compare": ["compare", *missing, "--json", str(out)],
+        }[command]
+        result = runner.invoke(main, [*args, flag, value])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ablate", "sweep", "compare"])
     def test_class_count_mismatch_rejected_before_any_anneal(
         self, runner, tmp_path, monkeypatch, command

@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cobias import (
     evaluate,
 )
 from cobias.metrics import accuracy_from_counts, cobias, confusion, pmi_from_counts
-from cobias.objective import TERM_COMBINATIONS, _Objective
+from cobias import objective
+from cobias.objective import TERM_COMBINATIONS, _Objective, objective_table
 
 from helpers import random_dataset
 
@@ -86,6 +88,16 @@ class TestEvaluate:
             pv = evaluate(permuted, WeightSelection(psel), scale, cfg)
             assert pv.total == pytest.approx(v.total, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["beta", "tau", "mu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_validation(self, name, value):
+        # NaN passes "< 0", and either value would make the objective non-finite
+        with pytest.raises(ValidationError, match="beta, tau, and mu must be finite"):
+            ObjectiveConfig(**{name: value})
+        if value == float("inf"):  # -inf keeps the nonnegativity message
+            with pytest.raises(ValidationError, match="must be nonnegative"):
+                ObjectiveConfig(**{name: -value})
+
     def test_at_least_one_term_required(self):
         with pytest.raises(ValidationError):
             ObjectiveConfig(use_z1=False, use_z2=False, use_z3=False)
@@ -137,6 +149,42 @@ class TestObjectiveCore:
                     assert got.z3_pmi_sum == (z3 if cfg.use_z3 else None)
                     assert got.total == total
 
+    @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
+    def test_stack_equals_single_matrices(self, terms):
+        # A (B, N, N) stack runs the single path's float operations per
+        # matrix, so every field is == the single value; N from 2 to 17
+        # crosses numpy's 8-wide summation block, empty rows exercise the
+        # excluded classes and the <2-class zero gap, and a reversed view
+        # checks that the input's memory layout does not matter.
+        rng = np.random.default_rng(43)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in range(2, 18):
+                for batch in (1, 3, 40):
+                    cfg = ObjectiveConfig.with_terms(
+                        terms, beta=3 * rng.random(), tau=rng.random(),
+                        mu=10 ** rng.uniform(-4, 0),
+                    )
+                    totals = rng.integers(1, 40, size=n)
+                    totals[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = 0
+                    totals[0] += 1
+                    stack = np.stack([
+                        [rng.multinomial(t, rng.dirichlet(np.ones(n))) for t in totals]
+                        for _ in range(batch)
+                    ])
+                    core = _Objective(totals, cfg)
+                    for view in (stack, stack[::-1]):
+                        got = core(view)
+                        for b, counts in enumerate(view):
+                            one = core(counts)
+                            for field in ("z1_error_rate", "z2_cobias", "z3_pmi_sum", "total"):
+                                single, stacked = getattr(one, field), getattr(got, field)
+                                if single is None:
+                                    assert stacked is None
+                                else:
+                                    assert stacked.shape == (batch,)
+                                    assert stacked[b] == single
+
     @pytest.mark.parametrize(
         "num_labels,messages",
         [
@@ -165,6 +213,44 @@ class TestObjectiveCore:
             assert result.trace.total_evaluations == 71
             assert result.selection.indices == (3, 2, 1)
             assert result.value.total == 0.17563051888859493
+
+
+class TestObjectiveTable:
+    @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
+    def test_equals_full_evaluation_on_every_selection(self, terms):
+        # N = 2..9. Every other instance has probabilities in multiples of
+        # 1/8 on a K that is a power of two, so many weighted scores tie
+        # exactly (the last class must then lose, as under argmax), and
+        # never labels one class, so that class has no true samples.
+        rng = np.random.default_rng(47)
+        cfg = ObjectiveConfig.with_terms(terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n, k in [(2, 8), (3, 8), (4, 4), (5, 4), (6, 2), (7, 2), (8, 2), (9, 2)]:
+                if n % 2:
+                    ds = random_dataset(rng, 50, n)
+                else:
+                    probs = rng.multinomial(8, np.full(n, 1 / n), size=50) / 8
+                    labels = rng.integers(n - 1, size=50)
+                    labels[labels == n // 2] = n - 1
+                    ds = ProbabilityDataset.from_arrays(probs, labels)
+                scale = WeightScale(k)
+                table = objective_table(ds, scale, cfg)
+                for flat, sel in enumerate(product(range(1, k + 1), repeat=n)):
+                    want = evaluate(ds, WeightSelection(sel), scale, cfg)
+                    assert table.total[flat] == want.total
+                    for field in ("z1_error_rate", "z2_cobias", "z3_pmi_sum"):
+                        expected, column = getattr(want, field), getattr(table, field)
+                        assert column is None if expected is None else column[flat] == expected
+
+    def test_chunk_size_does_not_change_the_table(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        ds, scale, cfg = random_dataset(rng, 300, 4), WeightScale(6), ObjectiveConfig()
+        whole = objective_table(ds, scale, cfg)
+        monkeypatch.setattr(objective, "_TABLE_CHUNK_BYTES", 1)  # one prefix per chunk
+        single = objective_table(ds, scale, cfg)
+        for field in ("z1_error_rate", "z2_cobias", "z3_pmi_sum", "total"):
+            assert np.array_equal(getattr(whole, field), getattr(single, field))
 
 
 class TestIncrementalEvaluator:

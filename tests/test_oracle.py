@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,8 @@ from cobias import (
     enumerate_optimum,
     evaluate,
 )
+
+from cobias.objective import TERM_COMBINATIONS
 
 from helpers import random_dataset
 
@@ -56,6 +59,28 @@ class TestEnumerateOptimum:
         ds = random_dataset(rng, 10, 3)
         with pytest.raises(ValidationError, match="64"):
             enumerate_optimum(ds, WeightScale(4), ObjectiveConfig(), budget=63)
+
+    @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
+    def test_matches_the_per_selection_loop(self, terms):
+        # the first strict minimum of a loop over product order, evaluated
+        # selection by selection; probabilities in multiples of 1/4 tie
+        # exactly under K=2 and K=4, so many selections share a total
+        rng = np.random.default_rng(61)
+        cfg = ObjectiveConfig.with_terms(terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n, k in [(2, 4), (3, 3), (3, 4), (4, 2)]:
+                probs = rng.multinomial(4, np.full(n, 1 / n), size=40) / 4
+                ds = ProbabilityDataset.from_arrays(probs, rng.integers(n, size=40))
+                scale = WeightScale(k)
+                best_sel = best_val = None
+                for sel in product(range(1, k + 1), repeat=n):
+                    val = evaluate(ds, WeightSelection(sel), scale, cfg)
+                    if best_val is None or val.total < best_val.total:
+                        best_sel, best_val = sel, val
+                sel, val = enumerate_optimum(ds, scale, cfg)
+                assert sel.indices == best_sel
+                assert val == best_val
 
     def test_no_selection_beats_the_optimum(self):
         rng = np.random.default_rng(2)
