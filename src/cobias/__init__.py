@@ -17,7 +17,7 @@ from .annealer import (
     predicted_complexity,
     write_trace,
 )
-from .baselines import BatchCalibration, MethodResult, batch_calibrate, compare_methods
+from .baselines import batch_calibrate, compare_methods
 from .data import (
     ProbabilityDataset,
     ReweightArtifact,
@@ -33,7 +33,6 @@ from .data import (
 )
 from .errors import ArtifactError, DatasetFormatError, ValidationError
 from .metrics import (
-    ClassAccuracyReport,
     class_report,
     cobias,
     cobias_single,
@@ -50,11 +49,8 @@ __all__ = [
     "AnnealSchedule",
     "AnnealTrace",
     "ArtifactError",
-    "BatchCalibration",
-    "ClassAccuracyReport",
     "DatasetFormatError",
     "IncrementalEvaluator",
-    "MethodResult",
     "ObjectiveConfig",
     "ObjectiveValue",
     "ProbabilityDataset",

@@ -293,10 +293,10 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     dataset = _load(optimization_path, fmt, renormalize)
 
     before = class_report(dataset)
-    click.echo(f"before: accuracy {before.overall:.4f}  cobias {before.cobias:.4f}")
+    click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
     result = anneal(dataset, scale, config, schedule)
     after = class_report(dataset, result.selection, scale)
-    click.echo(f"after:  accuracy {after.overall:.4f}  cobias {after.cobias:.4f}")
+    click.echo(f"after:  accuracy {after['overall_accuracy']:.4f}  cobias {after['cobias']:.4f}")
     parts = ", ".join(
         f"{name}={v:.6f}"
         for name, v in (("z1", result.value.z1_error_rate),
@@ -359,8 +359,8 @@ def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
             {
                 "terms": key,
                 "label": ABLATION_LABELS[key],
-                "accuracy": report.overall,
-                "cobias": report.cobias,
+                "accuracy": report["overall_accuracy"],
+                "cobias": report["cobias"],
                 "indices": list(result.selection.indices),
             }
         )
@@ -405,8 +405,8 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
             subset = _stratified_subsample(opt_set, size, np.random.default_rng(s))
             result = anneal(subset, scale, config, schedules[s])
             report = class_report(test_set, result.selection, scale)
-            accs.append(report.overall)
-            cbs.append(report.cobias)
+            accs.append(report["overall_accuracy"])
+            cbs.append(report["cobias"])
         rows.append(
             {
                 "size": size,
@@ -469,10 +469,10 @@ def compare(optimization_path, test_path, fmt, renormalize, json_path, **search)
     click.echo(f"{'method':<18} {'accuracy':>9} {'error':>9} {'cobias':>9} {'cobias_1':>9}")
     for row in rows:
         click.echo(
-            f"{row.method:<18} {row.accuracy:>9.4f} {row.error_rate:>9.4f} "
-            f"{row.cobias:>9.4f} {row.cobias_single:>9.4f}"
+            f"{row['method']:<18} {row['accuracy']:>9.4f} {row['error_rate']:>9.4f} "
+            f"{row['cobias']:>9.4f} {row['cobias_single']:>9.4f}"
         )
-    _write_rows("comparison_report", [dataclasses.asdict(r) for r in rows], json_path)
+    _write_rows("comparison_report", rows, json_path)
 
 
 @main.command()

@@ -16,12 +16,15 @@ defined odd class. The per-class PMI uses add-mu smoothed count ratios
     f(event) = (count + mu) / (M + mu * N)
 
 with natural logarithms throughout.
+
+A report is a dict with the JSON evaluation report's keys in its order:
+``class_report`` and ``report_from_counts`` give all but ``pmi`` and ``mu``,
+which ``report_document`` adds.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +51,7 @@ def predict_dataset(
 
 def counts_from_predictions(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
     flat = labels * num_classes + predictions
-    return np.bincount(flat, minlength=num_classes * num_classes).reshape(
-        num_classes, num_classes
-    )
+    return np.bincount(flat, minlength=num_classes**2).reshape(num_classes, num_classes)
 
 
 def confusion(
@@ -69,8 +70,7 @@ def accuracy_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1).astype(np.float64)
     diag = np.diag(counts).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        acc = np.where(totals > 0, diag / totals, np.nan)
-    return acc
+        return np.where(totals > 0, diag / totals, np.nan)
 
 
 def _gap_weights(defined: int, total: int) -> tuple[np.ndarray, float] | None:
@@ -135,16 +135,9 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
     """Mean |A_odd(i) - A_i| over classes with a defined odd class; 0.0 when
     no class has one (a perfectly diagonal confusion matrix)."""
     vals = np.asarray(per_class, dtype=np.float64)
-    gaps = []
-    skipped_undefined = False
-    for i, j in enumerate(odd):
-        if j is None:
-            continue
-        if np.isnan(vals[i]) or np.isnan(vals[j]):
-            skipped_undefined = True
-            continue
-        gaps.append(abs(vals[j] - vals[i]))
-    if skipped_undefined:
+    pairs = [(vals[i], vals[j]) for i, j in enumerate(odd) if j is not None]
+    gaps = [abs(b - a) for a, b in pairs if not (np.isnan(a) or np.isnan(b))]
+    if len(gaps) < len(pairs):
         warnings.warn(
             "pairs involving classes without true samples excluded from the odd-class gap",
             stacklevel=2,
@@ -181,42 +174,38 @@ def _pmi(joint, pred, true_mu: np.ndarray, denom: float, mu: float) -> np.ndarra
     return np.log((joint + mu) * denom / ((pred + mu) * true_mu))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassAccuracyReport:
-    """Per-class accuracies plus the imbalance summary metrics.
-
-    ``per_class`` uses NaN for classes with no true samples; ``odd_class``
-    uses None for rows without mispredictions. ``cobias_single`` is 0.0 when
-    no class has an odd class (a perfectly diagonal confusion matrix).
-    """
-
-    per_class: np.ndarray
-    overall: float
-    cobias: float
-    cobias_single: float
-    odd_class: tuple[int | None, ...]
-
-
 def class_report(
     dataset: ProbabilityDataset,
     selection: WeightSelection | None = None,
     scale: WeightScale | None = None,
-) -> ClassAccuracyReport:
-    """Full accuracy/imbalance report for a dataset under a selection."""
+) -> dict:
+    """The evaluation report of a dataset under a selection, without the PMI."""
     return report_from_counts(confusion(dataset, selection, scale))
 
 
-def report_from_counts(counts: np.ndarray) -> ClassAccuracyReport:
+def report_from_counts(counts: np.ndarray) -> dict:
+    """The evaluation report of confusion counts, without the PMI.
+
+    ``per_class_accuracy`` holds None for classes with no true samples and
+    ``odd_classes`` None for rows without mispredictions; ``cobias_single``
+    is 0.0 when no class has an odd class (a perfectly diagonal matrix).
+    """
     acc = accuracy_from_counts(counts)
     odd = odd_classes(counts)
-    overall = float(np.diag(counts).sum() / counts.sum())
-    return ClassAccuracyReport(
-        per_class=readonly_array(acc),
-        overall=overall,
-        cobias=cobias(acc),
-        cobias_single=cobias_single(acc, odd),
-        odd_class=odd,
-    )
+    return {
+        "schema_version": 1,
+        "kind": "evaluation_report",
+        "num_samples": int(counts.sum()),
+        "num_classes": counts.shape[0],
+        "confusion": counts.tolist(),
+        "class_totals": counts.sum(axis=1).tolist(),
+        "prediction_totals": counts.sum(axis=0).tolist(),
+        "per_class_accuracy": [None if np.isnan(a) else float(a) for a in acc],
+        "overall_accuracy": float(np.diag(counts).sum() / counts.sum()),
+        "cobias": cobias(acc),
+        "cobias_single": cobias_single(acc, odd),
+        "odd_classes": list(odd),
+    }
 
 
 def report_document(
@@ -225,26 +214,8 @@ def report_document(
     scale: WeightScale | None = None,
     mu: float = DEFAULT_MU,
 ) -> dict:
-    """Machine-readable evaluation report (confusion, accuracies, PMI).
-
-    The schema is versioned; see the README for field documentation.
-    """
+    """The versioned evaluation report: ``class_report`` plus the PMI vector
+    and its smoothing ``mu``. See the README for field documentation."""
     counts = confusion(dataset, selection, scale)
-    rep = report_from_counts(counts)
-    pmi = pmi_from_counts(counts, mu)
-    return {
-        "schema_version": 1,
-        "kind": "evaluation_report",
-        "num_samples": dataset.num_samples,
-        "num_classes": dataset.num_classes,
-        "confusion": counts.tolist(),
-        "class_totals": counts.sum(axis=1).tolist(),
-        "prediction_totals": counts.sum(axis=0).tolist(),
-        "per_class_accuracy": [None if np.isnan(a) else float(a) for a in rep.per_class],
-        "overall_accuracy": rep.overall,
-        "cobias": rep.cobias,
-        "cobias_single": rep.cobias_single,
-        "odd_classes": list(rep.odd_class),
-        "pmi": [float(v) for v in pmi],
-        "mu": mu,
-    }
+    report = report_from_counts(counts)  # its warnings come before the PMI's
+    return {**report, "pmi": [float(v) for v in pmi_from_counts(counts, mu)], "mu": mu}

@@ -131,14 +131,14 @@ def test_criterion_3_debiasing_effect():
     corrected = class_report(test, result.selection, WeightScale(30))
     elapsed = time.perf_counter() - start
 
-    reduction = 1.0 - corrected.cobias / identity.cobias
-    accuracy_change = corrected.overall - identity.overall
+    reduction = 1.0 - corrected["cobias"] / identity["cobias"]
+    accuracy_change = corrected["overall_accuracy"] - identity["overall_accuracy"]
     _verdict(
         3,
         reduction >= 0.5 and accuracy_change >= -0.01 and elapsed < 300.0,
-        f"cobias {identity.cobias:.4f}->{corrected.cobias:.4f} "
+        f"cobias {identity['cobias']:.4f}->{corrected['cobias']:.4f} "
         f"({reduction * 100:.0f}% reduction), accuracy "
-        f"{identity.overall:.4f}->{corrected.overall:.4f} "
+        f"{identity['overall_accuracy']:.4f}->{corrected['overall_accuracy']:.4f} "
         f"({accuracy_change:+.4f}), runtime {elapsed:.0f}s",
     )
 
@@ -157,7 +157,7 @@ def test_criterion_4_ablation_ordering(biased_pair, trained_full_objective):
         else:
             result = anneal(opt, scale, ObjectiveConfig.with_terms(key), AnnealSchedule(seed=0))
         report = class_report(test, result.selection, scale)
-        rows[key] = (report.overall, report.cobias)
+        rows[key] = (report["overall_accuracy"], report["cobias"])
 
     best_cobias = min(cb for _, cb in rows.values())
     checks = [

@@ -698,8 +698,8 @@ class TestGenerateSynthetic:
         )
         ds = generate_synthetic(spec)
         report = class_report(ds)
-        assert report.overall == 1.0
-        assert report.cobias == 0.0
+        assert report["overall_accuracy"] == 1.0
+        assert report["cobias"] == 0.0
 
     def test_symmetric_bias_accuracy_near_half(self):
         # With both rows uniform, each class wins the argmax about half the
@@ -713,9 +713,9 @@ class TestGenerateSynthetic:
         )
         ds = generate_synthetic(spec)
         report = class_report(ds)
-        assert abs(report.per_class[0] - 0.5) < 0.02
-        assert abs(report.per_class[1] - 0.5) < 0.02
-        assert 0.0 <= report.cobias <= 0.05
+        assert abs(report["per_class_accuracy"][0] - 0.5) < 0.02
+        assert abs(report["per_class_accuracy"][1] - 0.5) < 0.02
+        assert 0.0 <= report["cobias"] <= 0.05
 
     def test_deterministic_for_fixed_seed(self):
         spec = SyntheticSpec(

@@ -70,7 +70,7 @@ class TestConfusion:
         assert counts.sum(axis=1).tolist() == list(REFERENCE_ROW_TOTALS)
         assert counts.sum() == 5000
         report = class_report(ds)
-        assert report.overall == 3742 / 5000
+        assert report["overall_accuracy"] == 3742 / 5000
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -238,20 +238,27 @@ class TestReports:
     def test_reference_report(self):
         ds = dataset_from_confusion(REFERENCE_COUNTS)
         report = class_report(ds)
-        assert report.overall == pytest.approx(0.7484, abs=1e-9)
+        assert report["overall_accuracy"] == pytest.approx(0.7484, abs=1e-9)
         np.testing.assert_allclose(
-            report.per_class, [0.85, 0.98, 0.97, 0.19], atol=0.005
+            report["per_class_accuracy"], [0.85, 0.98, 0.97, 0.19], atol=0.005
         )
-        assert report.cobias == pytest.approx(0.415, abs=0.005)
-        assert report.cobias_single == pytest.approx(0.2575, abs=0.005)
-        assert report.odd_class == (2, 2, 0, 2)
+        assert report["cobias"] == pytest.approx(0.415, abs=0.005)
+        assert report["cobias_single"] == pytest.approx(0.2575, abs=0.005)
+        assert report["odd_classes"] == [2, 2, 0, 2]
 
     def test_perfect_dataset(self):
         ds = ProbabilityDataset.from_arrays([[0.9, 0.1], [0.1, 0.9]], [0, 1])
         report = class_report(ds)
-        assert report.overall == 1.0
-        assert report.cobias == 0.0
-        assert report.cobias_single == 0.0
+        assert report["overall_accuracy"] == 1.0
+        assert report["cobias"] == 0.0
+        assert report["cobias_single"] == 0.0
+
+    def test_document_is_the_class_report_plus_pmi(self):
+        ds = dataset_from_confusion(REFERENCE_COUNTS)
+        doc = report_document(ds, mu=0.5)
+        assert list(doc) == [*class_report(ds), "pmi", "mu"]
+        assert doc == {**class_report(ds), "pmi": doc["pmi"], "mu": 0.5}
+        assert doc["pmi"] == pmi_from_counts(confusion(ds), 0.5).tolist()
 
     def test_document_is_json_clean(self):
         import json
@@ -272,4 +279,4 @@ class TestReports:
         preds = predict_dataset(ds, sel, scale)
         assert preds.tolist() == [1]
         report = class_report(ds, sel, scale)
-        assert report.overall == 1.0
+        assert report["overall_accuracy"] == 1.0

@@ -123,10 +123,7 @@ class TestBatchCalibrationProperties:
         ds = random_dataset(rng, m, n)
         perm = rng.permutation(m)
         shuffled = ProbabilityDataset.from_arrays(ds.probs[perm], ds.labels[perm])
-        a = batch_calibrate(ds)
-        b = batch_calibrate(shuffled)
-        np.testing.assert_allclose(b.prior, a.prior, atol=1e-12)
-        np.testing.assert_array_equal(a.predictions[perm], b.predictions)
+        np.testing.assert_array_equal(batch_calibrate(ds)[perm], batch_calibrate(shuffled))
 
 
 class TestIncrementalProperties:
