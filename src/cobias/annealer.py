@@ -75,13 +75,21 @@ class AnnealSchedule:
         if self.seed < 0:  # numpy seeds a generator from nonnegative integers only
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
+    def _chain_length(self, share: float, num_classes: int, k_points: int) -> int:
+        """ceil(share * lam * N * K); refuses a product that overflows."""
+        length = share * self.lam * num_classes * k_points
+        if math.isinf(length):
+            raise ValidationError(f"lambda {self.lam:g} is too large for {num_classes} classes "
+                                  f"and K={k_points}: the chain length lambda*N*K overflows")
+        return math.ceil(length)
+
     def proposals_per_temperature(self, num_classes: int, k_points: int) -> int:
-        return math.ceil(self.lam * num_classes * k_points)
+        return self._chain_length(1.0, num_classes, k_points)
 
     def acceptances_per_temperature(self, num_classes: int, k_points: int) -> int:
         if self.max_accepted is not None:
             return self.max_accepted
-        return math.ceil(0.1 * self.lam * num_classes * k_points)
+        return self._chain_length(0.1, num_classes, k_points)
 
     def outer_iterations(self) -> int:
         return math.ceil(math.log(self.t_min / self.t_max) / math.log(self.alpha))

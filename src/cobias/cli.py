@@ -39,7 +39,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ValidationError
-from .metrics import DEFAULT_MU, class_report, report_document
+from .metrics import DEFAULT_MU, check_mu, class_report, report_document
 from .objective import (
     ABLATION_LABELS,
     DEFAULT_BETA,
@@ -193,6 +193,7 @@ def _search(k_points, beta, tau, mu, tmax, tmin, alpha, lam, max_accepted,
 def _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path) -> None:
     """Print the evaluation report of a dataset, reweighted by the artifact
     when one is given, and write it as JSON when ``json_path`` is set."""
+    check_mu(mu)  # before any file is read
     dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
     selection = scale = None
     if artifact is not None:
@@ -291,6 +292,8 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     """Learn per-class correction weights on a labeled optimization set."""
     scale, config, schedule = _search(**search)
     dataset = _load(optimization_path, fmt, renormalize)
+    # refuses a lambda whose chain length lambda*N*K overflows, before any output
+    bound = predicted_complexity(dataset.num_classes, scale.k_points, schedule)
 
     before = class_report(dataset)
     click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
@@ -307,10 +310,7 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     click.echo(f"objective: {result.value.total:.6f} ({parts})")
     click.echo(f"indices: {list(result.selection.indices)}")
     click.echo(f"coefficients: {[float(c) for c in result.selection.coefficients(scale)]}")
-    click.echo(
-        f"proposals: {result.trace.total_evaluations - 1} "
-        f"(bound {predicted_complexity(dataset.num_classes, scale.k_points, schedule)})"
-    )
+    click.echo(f"proposals: {result.trace.total_evaluations - 1} (bound {bound})")
 
     created_at = (
         datetime.datetime.now(datetime.timezone.utc).isoformat() if timestamp else None

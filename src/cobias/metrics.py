@@ -145,10 +145,15 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
     return float(sum(gaps) / len(gaps)) if gaps else 0.0
 
 
+def check_mu(mu: float) -> None:
+    """Refuse a PMI smoothing that is negative or not finite."""
+    if not 0 <= mu < np.inf:
+        raise ValidationError(f"mu must be finite and nonnegative, got {mu}")
+
+
 def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
     """Smoothed pointwise mutual information between predicted and true class j."""
-    if mu < 0:
-        raise ValidationError(f"mu must be nonnegative, got {mu}")
+    check_mu(mu)
     m = counts.sum()
     n = counts.shape[0]
     joint = np.diag(counts).astype(np.float64)

@@ -112,6 +112,17 @@ class TestPredictedComplexity:
         result = anneal(ds, WeightScale(3), ObjectiveConfig(), schedule)
         assert len(result.trace.records) == 1
 
+    @pytest.mark.parametrize("lam", [1e307, 1.7e308])
+    def test_overflowing_chain_length_is_a_validation_error(self, lam):
+        # 1e307 overflows the proposal limit lambda*N*K; 1.7e308 already
+        # overflows the acceptance limit 0.1*lambda*N*K
+        ds = random_dataset(np.random.default_rng(2), 20, 3)
+        schedule = AnnealSchedule(lam=lam)
+        with pytest.raises(ValidationError, match="the chain length lambda\\*N\\*K overflows"):
+            predicted_complexity(3, 30, schedule)
+        with pytest.raises(ValidationError, match="too large for 3 classes and K=30"):
+            anneal(ds, WeightScale(30), ObjectiveConfig(), schedule)
+
     def test_doubling_lambda_doubles_estimate(self):
         base = AnnealSchedule(lam=1.0)
         double = AnnealSchedule(lam=2.0)

@@ -115,6 +115,31 @@ class TestEvaluate:
         assert len(lines) == 1 and lines[0].startswith("error: line 1: ")
         assert message in lines[0]
 
+    @pytest.mark.parametrize("command", ["evaluate", "apply"])
+    @pytest.mark.parametrize("mu", ["inf", "nan", "-inf"])
+    def test_nonfinite_mu_rejected_before_the_dataset_is_read(
+        self, runner, tmp_path, command, mu
+    ):
+        # the dataset and artifact are missing, so any read would end in an
+        # i/o error (exit 2) instead
+        out = tmp_path / "report.json"
+        missing = [str(tmp_path / "missing.jsonl")]
+        if command == "apply":
+            missing.append(str(tmp_path / "missing-artifact.json"))
+        result = runner.invoke(main, [command, *missing, "--mu", mu, "--json", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: mu must be finite and nonnegative, got {float(mu)}"
+        ]
+        assert not out.exists()
+
+    def test_mu_zero_is_accepted(self, runner, tmp_path):
+        path = _write_dataset(tmp_path, dataset_from_confusion([[3, 1], [1, 4]]))
+        result = runner.invoke(main, ["evaluate", path, "--mu", "0"])
+        assert result.exit_code == 0
+        assert "pmi (mu=0): " in result.output
+
     def test_unknown_extension_needs_format_flag(self, runner, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text('{"probs":[0.5,0.5],"label":0}\n')
@@ -318,6 +343,30 @@ class TestOptimizeAndApply:
             line.startswith("Error: No such option") and flag[0] in line
             for line in result.stderr.splitlines()
         )
+
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    @pytest.mark.parametrize("lam", ["1e307", "1.7e308"])
+    def test_overflowing_chain_length_rejected_before_any_output(
+        self, runner, small_sets, tmp_path, command, lam
+    ):
+        # lambda*N*K (or a tenth of it, the acceptance limit) overflows a
+        # float; only the datasets give N, so the check follows the read
+        opt, test = small_sets
+        out = tmp_path / "out.json"
+        args = {
+            "optimize": ["optimize", opt, "--out", str(out)],
+            "ablate": ["ablate", opt, test, "--json", str(out)],
+            "sweep": ["sweep", opt, test, "--sizes", "30", "--json", str(out)],
+            "compare": ["compare", opt, test, "--json", str(out)],
+        }[command]
+        result = runner.invoke(main, [*args, "--lambda", lam, "--k", "30"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: lambda {float(lam):g} is too large for 3 classes and K=30: "
+            "the chain length lambda*N*K overflows"
+        ]
+        assert not out.exists()
 
     def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
