@@ -268,7 +268,7 @@ def _stratified_subsample(
     if size == m:
         return dataset
     labels = dataset.labels
-    present = np.unique(labels)
+    present, counts = np.unique(labels, return_counts=True)
     if size < present.size:
         warnings.warn(
             f"size {size} cannot cover all {present.size} classes; "
@@ -276,30 +276,19 @@ def _stratified_subsample(
         )
         chosen = np.sort(rng.choice(m, size=size, replace=False))
     else:
-        counts = {int(c): int((labels == c).sum()) for c in present}
-        alloc = {int(c): 1 for c in present}
-        remaining = size - present.size
-        # Largest-remainder split of the rest, capped by availability.
-        quotas = {c: remaining * counts[c] / m for c in alloc}
-        for c in alloc:
-            take = min(int(quotas[c]), counts[c] - alloc[c])
-            alloc[c] += take
-            remaining -= take
+        # One row per class, then a largest-remainder split of the rest: the
+        # floor of each quota, then one more per class with room, by
+        # descending remainder (ties to the lower class), round after round.
+        quotas = (size - present.size) * counts / m
+        alloc = 1 + np.minimum(np.floor(quotas).astype(np.int64), counts - 1)
+        remaining = size - int(alloc.sum())
+        order = np.argsort(np.floor(quotas) - quotas, kind="stable")
         while remaining > 0:
-            order = sorted(
-                (c for c in alloc if alloc[c] < counts[c]),
-                key=lambda c: quotas[c] - int(quotas[c]),
-                reverse=True,
-            )
-            for c in order:
-                if remaining == 0:
-                    break
-                alloc[c] += 1
-                remaining -= 1
-        parts = []
-        for c in sorted(alloc):
-            idx = np.flatnonzero(labels == c)
-            parts.append(rng.choice(idx, size=alloc[c], replace=False))
+            open_classes = order[alloc[order] < counts[order]][:remaining]
+            alloc[open_classes] += 1
+            remaining -= open_classes.size
+        parts = [rng.choice(np.flatnonzero(labels == c), size=a, replace=False)
+                 for c, a in zip(present.tolist(), alloc.tolist())]
         chosen = np.sort(np.concatenate(parts))
     return ProbabilityDataset.from_arrays(dataset.probs[chosen], labels[chosen])
 

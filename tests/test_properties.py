@@ -15,6 +15,7 @@ from cobias import (
     evaluate,
     predict_dataset,
 )
+from cobias.data import _stratified_subsample
 from cobias.metrics import pmi_from_counts
 
 from helpers import random_dataset
@@ -124,6 +125,46 @@ class TestBatchCalibrationProperties:
         perm = rng.permutation(m)
         shuffled = ProbabilityDataset.from_arrays(ds.probs[perm], ds.labels[perm])
         np.testing.assert_array_equal(batch_calibrate(ds)[perm], batch_calibrate(shuffled))
+
+
+def _reference_allocation(labels: np.ndarray, size: int) -> list[int]:
+    """Rows per present class, by the per-class loop that the vectorized
+    split in ``data._stratified_subsample`` replaced."""
+    m = labels.size
+    present = np.unique(labels)
+    counts = {int(c): int((labels == c).sum()) for c in present}
+    alloc = {int(c): 1 for c in present}
+    remaining = size - present.size
+    quotas = {c: remaining * counts[c] / m for c in alloc}
+    for c in alloc:
+        take = min(int(quotas[c]), counts[c] - alloc[c])
+        alloc[c] += take
+        remaining -= take
+    while remaining > 0:
+        order = sorted(
+            (c for c in alloc if alloc[c] < counts[c]),
+            key=lambda c: quotas[c] - int(quotas[c]),
+            reverse=True,
+        )
+        for c in order:
+            if remaining == 0:
+                break
+            alloc[c] += 1
+            remaining -= 1
+    return [alloc[c] for c in sorted(alloc)]
+
+
+class TestStratifiedSubsampleProperties:
+    @FAST
+    @given(st.lists(st.integers(0, 5), min_size=2, max_size=40), st.integers(0, 10_000))
+    def test_allocation_matches_the_per_class_loop_at_every_size(self, labels, seed):
+        labels = np.array(labels)
+        m = labels.size
+        ds = ProbabilityDataset.from_arrays(np.full((m, 6), 1 / 6), labels)
+        present = np.unique(labels)
+        for size in range(present.size, m):
+            sub = _stratified_subsample(ds, size, np.random.default_rng(seed))
+            assert np.bincount(sub.labels)[present].tolist() == _reference_allocation(labels, size)
 
 
 class TestIncrementalProperties:
