@@ -134,12 +134,6 @@ class TestEvaluate:
         ]
         assert not out.exists()
 
-    def test_mu_zero_is_accepted(self, runner, tmp_path):
-        path = _write_dataset(tmp_path, dataset_from_confusion([[3, 1], [1, 4]]))
-        result = runner.invoke(main, ["evaluate", path, "--mu", "0"])
-        assert result.exit_code == 0
-        assert "pmi (mu=0): " in result.output
-
     def test_unknown_extension_needs_format_flag(self, runner, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text('{"probs":[0.5,0.5],"label":0}\n')
