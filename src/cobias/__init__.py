@@ -11,17 +11,13 @@ __version__ = "0.1.0"
 from .annealer import (
     AnnealResult,
     AnnealSchedule,
-    AnnealTrace,
-    TraceRecord,
     anneal,
     predicted_complexity,
-    write_trace,
 )
 from .baselines import batch_calibrate, compare_methods
 from .data import (
     ProbabilityDataset,
     ReweightArtifact,
-    RunProvenance,
     SyntheticSpec,
     WeightScale,
     WeightSelection,
@@ -47,7 +43,6 @@ from .oracle import enumerate_optimum
 __all__ = [
     "AnnealResult",
     "AnnealSchedule",
-    "AnnealTrace",
     "ArtifactError",
     "DatasetFormatError",
     "IncrementalEvaluator",
@@ -55,9 +50,7 @@ __all__ = [
     "ObjectiveValue",
     "ProbabilityDataset",
     "ReweightArtifact",
-    "RunProvenance",
     "SyntheticSpec",
-    "TraceRecord",
     "ValidationError",
     "WeightScale",
     "WeightSelection",
@@ -79,5 +72,4 @@ __all__ = [
     "report_document",
     "save_artifact",
     "save_dataset",
-    "write_trace",
 ]

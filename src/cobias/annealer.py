@@ -16,11 +16,8 @@ same values, so a seeded run gives the same result either way.
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,28 +106,14 @@ class AnnealSchedule:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    iteration: int
-    temperature: float
-    current_total: float
-    best_total: float
-    acceptance_rate: float
-
-
-@dataclass(frozen=True)
-class AnnealTrace:
-    """Per-temperature progress records plus run totals."""
-
-    records: tuple[TraceRecord, ...]
-    total_evaluations: int
-    wall_time: float
-
-
-@dataclass(frozen=True)
 class AnnealResult:
+    """Best selection and value, one ``optimize --trace`` record per
+    temperature level, and the evaluation count (the initial one included)."""
+
     selection: WeightSelection
     value: ObjectiveValue
-    trace: AnnealTrace
+    records: tuple[dict, ...]
+    total_evaluations: int
 
 
 def _draw_move(rng: np.random.Generator, indices: np.ndarray, k_points: int) -> tuple[int, int]:
@@ -225,7 +208,6 @@ def anneal(
     t_max * alpha**iteration exactly, and the total proposal count never
     exceeds ``predicted_complexity``.
     """
-    start = time.perf_counter()
     n = dataset.num_classes
     k = scale.k_points
     init = WeightSelection.identity(n, scale)
@@ -235,11 +217,7 @@ def anneal(
 
     if k == 1:
         # Singleton search space: the initial selection is the only one.
-        return AnnealResult(
-            selection=init,
-            value=evaluator.value,
-            trace=AnnealTrace((), evaluations, time.perf_counter() - start),
-        )
+        return AnnealResult(init, evaluator.value, (), evaluations)
 
     rng = np.random.default_rng(schedule.seed)
     indices = np.asarray(init.indices, dtype=np.int64)
@@ -272,38 +250,15 @@ def anneal(
                 if candidate.total < best_value.total:
                     best_value = candidate
                     best_selection = WeightSelection(tuple(int(i) for i in indices))
-        if records and best_value.total > records[-1].best_total:
+        if records and best_value.total > records[-1]["best"]:
             raise AssertionError("best objective increased; annealer invariant broken")
-        records.append(
-            TraceRecord(
-                iteration=t,
-                temperature=temperature,
-                current_total=current.total,
-                best_total=best_value.total,
-                acceptance_rate=accepted / proposals if proposals else 0.0,
-            )
-        )
+        records.append({
+            "iteration": t,
+            "temperature": temperature,
+            "current": current.total,
+            "best": best_value.total,
+            "acceptance_rate": accepted / proposals if proposals else 0.0,
+        })
 
-    return AnnealResult(
-        selection=best_selection,
-        value=best_value,
-        trace=AnnealTrace(tuple(records), evaluations, time.perf_counter() - start),
-    )
+    return AnnealResult(best_selection, best_value, tuple(records), evaluations)
 
-
-def write_trace(trace: AnnealTrace, path) -> None:
-    """Export a trace as line-delimited JSON records for plotting."""
-    with Path(path).open("w") as fh:
-        for rec in trace.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "iteration": rec.iteration,
-                        "temperature": rec.temperature,
-                        "current": rec.current_total,
-                        "best": rec.best_total,
-                        "acceptance_rate": rec.acceptance_rate,
-                    }
-                )
-            )
-            fh.write("\n")

@@ -21,13 +21,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .annealer import AnnealSchedule, anneal, predicted_complexity, write_trace
+from .annealer import AnnealSchedule, anneal, predicted_complexity
 from .baselines import compare_methods
 from .data import (
     DATASET_FORMATS,
     ProbabilityDataset,
     ReweightArtifact,
-    RunProvenance,
     SyntheticSpec,
     WeightScale,
     _stratified_subsample,
@@ -242,7 +241,7 @@ def _load_with_artifact(
             f"artifact was trained for {artifact.num_classes} classes but the "
             f"dataset has {dataset.num_classes}"
         )
-    if artifact.provenance.dataset_fingerprint != dataset.fingerprint():
+    if artifact.provenance["dataset_fingerprint"] != dataset.fingerprint():
         warnings.warn(
             "dataset fingerprint differs from the one recorded in the "
             "artifact; weights were learned on different data"
@@ -310,7 +309,7 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     click.echo(f"objective: {result.value.total:.6f} ({parts})")
     click.echo(f"indices: {list(result.selection.indices)}")
     click.echo(f"coefficients: {[float(c) for c in result.selection.coefficients(scale)]}")
-    click.echo(f"proposals: {result.trace.total_evaluations - 1} (bound {bound})")
+    click.echo(f"proposals: {result.total_evaluations - 1} (bound {bound})")
 
     created_at = (
         datetime.datetime.now(datetime.timezone.utc).isoformat() if timestamp else None
@@ -320,17 +319,17 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
         selection=result.selection,
         objective_config=config,
         final_objective=result.value.total,
-        provenance=RunProvenance(
-            seed=schedule.seed,
-            schedule=schedule.to_dict(),
-            dataset_fingerprint=dataset.fingerprint(),
-            created_at=created_at,
-        ),
+        provenance={
+            "seed": schedule.seed,
+            "schedule": schedule.to_dict(),
+            "dataset_fingerprint": dataset.fingerprint(),
+            "created_at": created_at,
+        },
     )
     save_artifact(artifact, out_path)
     click.echo(f"artifact written to {out_path}")
     if trace_path:
-        write_trace(result.trace, trace_path)
+        Path(trace_path).write_text("".join(json.dumps(r) + "\n" for r in result.records))
         click.echo(f"trace written to {trace_path}")
 
 

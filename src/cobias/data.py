@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -598,20 +598,12 @@ def save_dataset(dataset: ProbabilityDataset, path, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunProvenance:
-    """Metadata tying an artifact to the run that produced it."""
-
-    seed: int
-    schedule: dict
-    dataset_fingerprint: str
-    created_at: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ReweightArtifact:
     """A learned per-class reweighting: scale, selection, and run metadata.
 
+    ``provenance`` ties the artifact to its run: a dict with keys ``seed``,
+    ``schedule``, ``dataset_fingerprint`` and ``created_at``, in that order.
     ``coefficients[n]`` always equals ``selection.indices[n] / scale.k_points``
     and survives a save/load round trip bit-for-bit.
     """
@@ -620,7 +612,7 @@ class ReweightArtifact:
     selection: WeightSelection
     objective_config: "ObjectiveConfig"
     final_objective: float
-    provenance: RunProvenance
+    provenance: dict
     coefficients: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -644,7 +636,7 @@ def save_artifact(artifact: ReweightArtifact, path) -> None:
         "coefficients": [float(c) for c in artifact.coefficients],
         "objective_config": artifact.objective_config.to_dict(),
         "final_objective": float(artifact.final_objective),
-        "provenance": asdict(artifact.provenance),
+        "provenance": artifact.provenance,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -669,12 +661,12 @@ def load_artifact(path) -> ReweightArtifact:
         final_objective = float(doc["final_objective"])
         prov = doc["provenance"]
         fingerprint = prov["dataset_fingerprint"]
-        provenance = RunProvenance(
-            seed=int(prov["seed"]),
-            schedule=dict(prov["schedule"]),
-            dataset_fingerprint=fingerprint,
-            created_at=prov.get("created_at"),
-        )
+        provenance = {  # unknown keys are dropped
+            "seed": int(prov["seed"]),
+            "schedule": dict(prov["schedule"]),
+            "dataset_fingerprint": fingerprint,
+            "created_at": prov.get("created_at"),
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact schema violation: {exc!r}") from exc
     if not isinstance(fingerprint, str) or not fingerprint:

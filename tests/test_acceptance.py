@@ -103,10 +103,10 @@ def test_criterion_2_oracle_equivalence(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(annealer, "_tabulates", lambda *args: False)
                 chain = anneal(ds, scale, config, schedule)
-            assert (chain.selection, chain.value, chain.trace.records,
-                    chain.trace.total_evaluations) == (
-                annealed.selection, annealed.value, annealed.trace.records,
-                annealed.trace.total_evaluations), f"seed {run_seed}: the two paths differ"
+            assert (chain.selection, chain.value, chain.records,
+                    chain.total_evaluations) == (
+                annealed.selection, annealed.value, annealed.records,
+                annealed.total_evaluations), f"seed {run_seed}: the two paths differ"
         _, optimum = enumerate_optimum(ds, scale, config)
         gap = annealed.value.total - optimum.total
         min_gap = min(min_gap, gap)
@@ -190,13 +190,13 @@ def test_criterion_5_annealer_mechanics(tmp_path, trained_full_objective):
 
     ok = True
     for result, n, k, sched in runs:
-        bests = [r.best_total for r in result.trace.records]
+        bests = [r["best"] for r in result.records]
         ok &= all(a >= b for a, b in zip(bests, bests[1:]))
         ok &= all(
-            rec.temperature == sched.t_max * sched.alpha**t
-            for t, rec in enumerate(result.trace.records)
+            rec["temperature"] == sched.t_max * sched.alpha**t
+            for t, rec in enumerate(result.records)
         )
-        ok &= result.trace.total_evaluations - 1 <= predicted_complexity(n, k, sched)
+        ok &= result.total_evaluations - 1 <= predicted_complexity(n, k, sched)
 
     # bit-identical artifact files from identical seeds
     rng = np.random.default_rng(11)

@@ -15,7 +15,7 @@ from cobias import (
     predicted_complexity,
 )
 from cobias import annealer
-from cobias.annealer import _draw_move, _tabulates, write_trace
+from cobias.annealer import _draw_move, _tabulates
 from cobias.objective import TERM_COMBINATIONS
 
 from helpers import random_dataset
@@ -110,7 +110,7 @@ class TestPredictedComplexity:
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 20, 2)
         result = anneal(ds, WeightScale(3), ObjectiveConfig(), schedule)
-        assert len(result.trace.records) == 1
+        assert len(result.records) == 1
 
     @pytest.mark.parametrize("lam", [1e307, 1.7e308])
     def test_overflowing_chain_length_is_a_validation_error(self, lam):
@@ -162,8 +162,8 @@ class TestTabulation:
                     chain = anneal(ds, WeightScale(k), cfg, schedule)
             assert table.selection == chain.selection
             assert table.value == chain.value
-            assert table.trace.records == chain.trace.records
-            assert table.trace.total_evaluations == chain.trace.total_evaluations
+            assert table.records == chain.records
+            assert table.total_evaluations == chain.total_evaluations
 
 
 class TestAnneal:
@@ -175,25 +175,25 @@ class TestAnneal:
         ds, _ = self._instance()
         result = anneal(ds, WeightScale(1), ObjectiveConfig(), AnnealSchedule(seed=0))
         assert result.selection.indices == (1, 1, 1)
-        assert result.trace.total_evaluations == 1
-        assert result.trace.records == ()
+        assert result.total_evaluations == 1
+        assert result.records == ()
 
     def test_mechanics_invariants(self):
         ds, scale = self._instance()
         schedule = AnnealSchedule(seed=5)
         result = anneal(ds, scale, ObjectiveConfig(), schedule)
-        records = result.trace.records
+        records = result.records
         # best trace never increases
-        bests = [r.best_total for r in records]
+        bests = [r["best"] for r in records]
         assert all(a >= b for a, b in zip(bests, bests[1:]))
         # temperatures follow t_max * alpha**t exactly
         for t, rec in enumerate(records):
-            assert rec.temperature == schedule.t_max * schedule.alpha**t
+            assert rec["temperature"] == schedule.t_max * schedule.alpha**t
         # proposal count stays within the closed-form bound
-        proposals = result.trace.total_evaluations - 1
+        proposals = result.total_evaluations - 1
         assert proposals <= predicted_complexity(ds.num_classes, scale.k_points, schedule)
         # acceptance rates are rates
-        assert all(0.0 <= r.acceptance_rate <= 1.0 for r in records)
+        assert all(0.0 <= r["acceptance_rate"] <= 1.0 for r in records)
 
     def test_deterministic_given_seed(self):
         ds, scale = self._instance()
@@ -202,10 +202,10 @@ class TestAnneal:
         b = anneal(ds, scale, ObjectiveConfig(), schedule)
         assert a.selection == b.selection
         assert a.value == b.value
-        assert a.trace.records == b.trace.records
+        assert a.records == b.records
         c = anneal(ds, scale, ObjectiveConfig(), AnnealSchedule(seed=78))
         # a different stream explores differently (trace differs)
-        assert c.trace.records != a.trace.records
+        assert c.records != a.records
 
     def test_equal_objective_moves_accepted_without_best_update(self):
         # every weight change is objective-neutral here (class 1 carries no
@@ -216,7 +216,7 @@ class TestAnneal:
         ds = ProbabilityDataset.from_arrays(probs, [0] * 20)
         schedule = AnnealSchedule(t_max=10.0, t_min=1.0, alpha=0.5, seed=0)
         result = anneal(ds, WeightScale(4), ObjectiveConfig(use_z2=False, use_z3=False), schedule)
-        assert all(r.acceptance_rate == 1.0 for r in result.trace.records)
+        assert all(r["acceptance_rate"] == 1.0 for r in result.records)
         assert result.selection.indices == (4, 4)
 
     def test_returned_value_matches_returned_selection(self):
@@ -227,14 +227,26 @@ class TestAnneal:
         result = anneal(ds, scale, cfg, AnnealSchedule(seed=2))
         assert result.value.total == evaluate(ds, result.selection, scale, cfg).total
 
-    def test_trace_export_is_line_delimited_json(self, tmp_path):
+    @pytest.mark.parametrize("k", [4, 1])
+    def test_optimize_trace_lines_are_the_records(self, tmp_path, k):
         import json
 
-        ds, scale = self._instance()
-        result = anneal(ds, scale, ObjectiveConfig(), AnnealSchedule(seed=1))
-        p = tmp_path / "trace.jsonl"
-        write_trace(result.trace, p)
-        lines = p.read_text().splitlines()
-        assert len(lines) == len(result.trace.records)
-        first = json.loads(lines[0])
-        assert set(first) == {"iteration", "temperature", "current", "best", "acceptance_rate"}
+        from click.testing import CliRunner
+
+        from cobias import save_dataset
+        from cobias.cli import main
+
+        ds, _ = self._instance()
+        schedule = AnnealSchedule(seed=1)
+        result = anneal(ds, WeightScale(k), ObjectiveConfig(), schedule)
+        data, trace = tmp_path / "d.jsonl", tmp_path / "trace.jsonl"
+        save_dataset(ds, data, "jsonl")
+        out = CliRunner().invoke(main, ["optimize", str(data), "--k", str(k), "--seed", "1",
+                                        "--out", str(tmp_path / "a.json"), "--trace", str(trace)])
+        assert out.exit_code == 0
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        # one line per temperature level, none for the single-point scale
+        assert len(lines) == (schedule.outer_iterations() if k > 1 else 0)
+        assert lines == list(result.records)
+        for line in lines:
+            assert list(line) == ["iteration", "temperature", "current", "best", "acceptance_rate"]

@@ -12,7 +12,6 @@ from cobias import (
     ObjectiveConfig,
     ProbabilityDataset,
     ReweightArtifact,
-    RunProvenance,
     WeightScale,
     WeightSelection,
     load_artifact,
@@ -389,7 +388,8 @@ class TestOptimizeAndApply:
                     selection=WeightSelection(indices),
                     objective_config=ObjectiveConfig(),
                     final_objective=0.0,
-                    provenance=RunProvenance(0, {}, fingerprint),
+                    provenance={"seed": 0, "schedule": {}, "dataset_fingerprint": fingerprint,
+                                "created_at": None},
                 ),
                 path,
             )
@@ -643,7 +643,7 @@ class TestDensity:
     ):
         # on the biased synthetic instance, reweighting must raise the mean
         # ground-truth-class probability of the under-predicted class
-        from cobias import ObjectiveConfig, ReweightArtifact, RunProvenance, WeightScale
+        from cobias import ObjectiveConfig, ReweightArtifact, WeightScale
 
         opt, test = biased_pair
         artifact = ReweightArtifact(
@@ -651,9 +651,8 @@ class TestDensity:
             selection=trained_full_objective.selection,
             objective_config=ObjectiveConfig(),
             final_objective=trained_full_objective.value.total,
-            provenance=RunProvenance(
-                seed=0, schedule={}, dataset_fingerprint=opt.fingerprint()
-            ),
+            provenance={"seed": 0, "schedule": {}, "dataset_fingerprint": opt.fingerprint(),
+                        "created_at": None},
         )
         artifact_path = tmp_path / "trained.json"
         from cobias import save_artifact

@@ -19,7 +19,6 @@ from cobias import (
     ObjectiveConfig,
     ProbabilityDataset,
     ReweightArtifact,
-    RunProvenance,
     SyntheticSpec,
     ValidationError,
     WeightScale,
@@ -759,12 +758,13 @@ def _make_artifact(indices=(3, 1, 1, 20), k=30, fingerprint="abc123"):
         selection=WeightSelection(indices),
         objective_config=ObjectiveConfig(),
         final_objective=0.25,
-        provenance=RunProvenance(
-            seed=0,
-            schedule={"t_max": 200000.0, "t_min": 0.1, "alpha": 0.95,
-                      "lambda": 5.0, "max_accepted": None, "seed": 0},
-            dataset_fingerprint=fingerprint,
-        ),
+        provenance={
+            "seed": 0,
+            "schedule": {"t_max": 200000.0, "t_min": 0.1, "alpha": 0.95,
+                         "lambda": 5.0, "max_accepted": None, "seed": 0},
+            "dataset_fingerprint": fingerprint,
+            "created_at": None,
+        },
     )
 
 

@@ -210,7 +210,7 @@ class TestObjectiveCore:
             warnings.simplefilter("ignore")
             assert result.value == evaluate(ds, result.selection, scale, cfg)
         if num_labels == 2:
-            assert result.trace.total_evaluations == 71
+            assert result.total_evaluations == 71
             assert result.selection.indices == (3, 2, 1)
             assert result.value.total == 0.17563051888859493
 
