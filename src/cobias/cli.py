@@ -39,13 +39,7 @@ from .data import (
 )
 from .errors import ValidationError
 from .metrics import DEFAULT_MU, check_mu, class_report, report_document
-from .objective import (
-    ABLATION_LABELS,
-    DEFAULT_BETA,
-    DEFAULT_TAU,
-    TERM_COMBINATIONS,
-    ObjectiveConfig,
-)
+from .objective import DEFAULT_BETA, DEFAULT_TAU, TERM_COMBINATIONS, ObjectiveConfig
 
 DEFAULT_K = 30
 DEFAULT_TERMS = "z1+z2-z3"
@@ -357,7 +351,7 @@ def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
         rows.append(
             {
                 "terms": key,
-                "label": ABLATION_LABELS[key],
+                "label": TERM_COMBINATIONS[key][1],
                 "accuracy": report["overall_accuracy"],
                 "cobias": report["cobias"],
                 "indices": list(result.selection.indices),

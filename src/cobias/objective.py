@@ -44,26 +44,17 @@ from .metrics import (
 DEFAULT_BETA = 2.7
 DEFAULT_TAU = 0.2
 
-# The seven term combinations used for ablations, keyed by an ASCII name.
+# The seven term combinations used for ablations, keyed by an ASCII name,
+# as the (z1, z2, z3) enable flags and the ablation table's label.
 # "+z2" always carries the beta weight and "-z3" the (negated) tau weight.
 TERM_COMBINATIONS = {
-    "z1": (True, False, False),
-    "z2": (False, True, False),
-    "z3": (False, False, True),
-    "z1+z2": (True, True, False),
-    "z1-z3": (True, False, True),
-    "z2-z3": (False, True, True),
-    "z1+z2-z3": (True, True, True),
-}
-
-ABLATION_LABELS = {
-    "z1": "z1",
-    "z2": "z2",
-    "z3": "z3",
-    "z1+z2": "z1+βz2",
-    "z1-z3": "z1-τz3",
-    "z2-z3": "βz2-τz3",
-    "z1+z2-z3": "z1+βz2-τz3",
+    "z1": ((True, False, False), "z1"),
+    "z2": ((False, True, False), "z2"),
+    "z3": ((False, False, True), "z3"),
+    "z1+z2": ((True, True, False), "z1+βz2"),
+    "z1-z3": ((True, False, True), "z1-τz3"),
+    "z2-z3": ((False, True, True), "βz2-τz3"),
+    "z1+z2-z3": ((True, True, True), "z1+βz2-τz3"),
 }
 
 
@@ -99,7 +90,7 @@ class ObjectiveConfig:
                 f"unknown term combination {terms!r}; expected one of "
                 f"{', '.join(TERM_COMBINATIONS)}"
             )
-        z1, z2, z3 = TERM_COMBINATIONS[terms]
+        (z1, z2, z3), _ = TERM_COMBINATIONS[terms]
         return cls(beta=beta, tau=tau, mu=mu, use_z1=z1, use_z2=z2, use_z3=z3)
 
     def to_dict(self) -> dict:
