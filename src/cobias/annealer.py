@@ -238,11 +238,7 @@ def anneal(
             evaluations += 1
             proposals += 1
             dz = candidate.total - current.total
-            if dz <= 0:
-                accept = True
-            else:
-                accept = rng.random() < math.exp(-dz / temperature)
-            if accept:
+            if dz <= 0 or rng.random() < math.exp(-dz / temperature):
                 evaluator.apply(c, new_index)
                 indices[c] = new_index
                 current = candidate

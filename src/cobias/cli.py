@@ -10,11 +10,11 @@ errors, and 2 for I/O errors.
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import functools
 import json
 import sys
 import warnings
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -289,8 +289,9 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     bound = predicted_complexity(dataset.num_classes, scale.k_points, schedule)
 
     before = class_report(dataset)
-    click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
+    # anneal refuses a mu that can leave the PMI not finite, so it runs before any output
     result = anneal(dataset, scale, config, schedule)
+    click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
     after = class_report(dataset, result.selection, scale)
     click.echo(f"after:  accuracy {after['overall_accuracy']:.4f}  cobias {after['cobias']:.4f}")
     parts = ", ".join(
@@ -305,9 +306,6 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     click.echo(f"coefficients: {[float(c) for c in result.selection.coefficients(scale)]}")
     click.echo(f"proposals: {result.total_evaluations - 1} (bound {bound})")
 
-    created_at = (
-        datetime.datetime.now(datetime.timezone.utc).isoformat() if timestamp else None
-    )
     artifact = ReweightArtifact(
         scale=scale,
         selection=result.selection,
@@ -317,7 +315,7 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
             "seed": schedule.seed,
             "schedule": schedule.to_dict(),
             "dataset_fingerprint": dataset.fingerprint(),
-            "created_at": created_at,
+            "created_at": datetime.now(timezone.utc).isoformat() if timestamp else None,
         },
     )
     save_artifact(artifact, out_path)
@@ -344,6 +342,8 @@ def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
         for key in TERM_COMBINATIONS
     }
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
+    # refuse a mu that can leave the PMI not finite before the z1 and z2 runs
+    check_mu(full.mu, np.bincount(opt_set.labels, minlength=opt_set.num_classes))
     rows = []
     for key, config in configs.items():
         result = anneal(opt_set, scale, config, schedule)

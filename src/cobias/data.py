@@ -661,12 +661,9 @@ def load_artifact(path) -> ReweightArtifact:
         final_objective = float(doc["final_objective"])
         prov = doc["provenance"]
         fingerprint = prov["dataset_fingerprint"]
-        provenance = {  # unknown keys are dropped
-            "seed": int(prov["seed"]),
-            "schedule": dict(prov["schedule"]),
-            "dataset_fingerprint": fingerprint,
-            "created_at": prov.get("created_at"),
-        }
+        # the checked fields in save_artifact's key order; unknown keys are dropped
+        provenance = {"seed": int(prov["seed"]), "schedule": dict(prov["schedule"]),
+                      "dataset_fingerprint": fingerprint, "created_at": prov.get("created_at")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact schema violation: {exc!r}") from exc
     if not isinstance(fingerprint, str) or not fingerprint:

@@ -145,14 +145,34 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
     return float(sum(gaps) / len(gaps)) if gaps else 0.0
 
 
-def check_mu(mu: float) -> None:
-    """Refuse a PMI smoothing that is negative or not finite."""
+def check_mu(mu: float, class_totals: np.ndarray | None = None) -> None:
+    """Refuse a PMI smoothing that is negative or not finite and, given the
+    true-class totals, one that leaves the PMI of some counts with those
+    totals not finite. The PMI is monotone in the joint and predicted counts,
+    so it is checked at the corners of their range per class of total t:
+    (joint, pred) = (0, 0), (0, M - t), (t, t), (t, M). A huge mu overflows a
+    product; a tiny one underflows ``mu * mu``, the denominator of a class
+    without true samples or predictions."""
     if not 0 <= mu < np.inf:
         raise ValidationError(f"mu must be finite and nonnegative, got {mu}")
+    if class_totals is not None:
+        t = class_totals.astype(np.float64)
+        m, zero = t.sum(), np.zeros_like(t)
+        with np.errstate(all="ignore"):  # a value that is not finite is refused, not warned
+            corners = _pmi(np.stack([zero, zero, t, t]), np.stack([zero, m - t, t, zero + m]),
+                           t + mu, m + mu * t.size, mu)
+        _refuse_nonfinite(corners, mu, " for some confusion counts on this dataset")
+
+
+def _refuse_nonfinite(pmi: np.ndarray, mu: float, where: str = "") -> None:
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(pmi)).all(axis=0))
+    if bad.size:
+        raise ValidationError(f"mu={mu:g} makes the smoothed PMI of class {bad[0]} not finite{where}")
 
 
 def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
-    """Smoothed pointwise mutual information between predicted and true class j."""
+    """Smoothed pointwise mutual information between predicted and true
+    class j; refuses a ``mu`` that leaves a value not finite."""
     check_mu(mu)
     m = counts.sum()
     n = counts.shape[0]
@@ -165,7 +185,10 @@ def pmi_from_counts(counts: np.ndarray, mu: float) -> np.ndarray:
             raise ValidationError(
                 f"class {bad[0]}: zero count with mu=0 makes the PMI ratio undefined"
             )
-    return _pmi(joint, pred, true + mu, m + mu * n, mu)
+    with np.errstate(all="ignore"):
+        pmi = _pmi(joint, pred, true + mu, m + mu * n, mu)
+    _refuse_nonfinite(pmi, mu)
+    return pmi
 
 
 def _pmi(joint, pred, true_mu: np.ndarray, denom: float, mu: float) -> np.ndarray:

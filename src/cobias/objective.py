@@ -35,6 +35,7 @@ from .errors import ValidationError
 from .metrics import (
     DEFAULT_MU,
     _gap_weights,
+    check_mu,
     _pairwise_gap,
     _pmi,
     confusion,
@@ -134,6 +135,8 @@ class _Objective:
     """
 
     def __init__(self, true_totals: np.ndarray, config: ObjectiveConfig):
+        if config.use_z3:  # so no counts with these totals give a value that is not finite
+            check_mu(config.mu, true_totals)
         self.config = config
         self._m = int(true_totals.sum())
         self._present = np.flatnonzero(true_totals > 0)

@@ -9,7 +9,8 @@ writes; ``test_golden.py`` reruns the cases and compares.
 
 The cases cover every command, both dataset formats, ``optimize --trace``,
 the ``--json`` reports, tabulated search spaces (N=2-4 at K=10, N=2-3 at
-K=30) and an incremental one (N=10, K=30), and one case per error class.
+K=30) and an incremental one (N=10, K=30), one case per error class, and
+`--mu` values that leave the smoothed PMI not finite.
 No case passes ``--timestamp``, whose output depends on the clock.
 
 After a change of output that is meant, rewrite the manifest with
@@ -55,6 +56,14 @@ _MISSING_CLASS = "".join(
                  ([0.1, 0.8, 0.1], 1), ([0.1, 0.2, 0.7], 1)]
 )
 
+# Class 2 has no true samples and no row predicts it, so its smoothed PMI
+# has the denominator mu * mu, which underflows to 0 at mu=1e-200.
+_ABSENT_CLASS = "".join(
+    json.dumps({"probs": p, "label": y}) + "\n"
+    for p, y in [([0.6, 0.3, 0.1], 0), ([0.5, 0.2, 0.3], 0),
+                 ([0.2, 0.7, 0.1], 1), ([0.45, 0.35, 0.2], 1)]
+)
+
 INPUTS = {
     "spec2.json": _spec([[0.7, 0.3], [0.4, 0.6]], 30, 3),
     "spec3.json": _spec(_BIAS3, 40, 1),
@@ -64,6 +73,7 @@ INPUTS = {
     "spec10.json": _spec(_BIAS10, 20, 5),
     "spec10-test.json": _spec(_BIAS10, 20, 6),
     "missing-class.jsonl": _MISSING_CLASS,
+    "absent-class.jsonl": _ABSENT_CLASS,
     "bad-spec.json": json.dumps({"num_classes": 3, "samples_per_class": [5, 5, 5]}),
     "bad-artifact.json": json.dumps({"kind": "reweight_artifact", "schema_version": 99}),
     "bad-row.jsonl": '{"probs": [0.7, 0.7], "label": 0}\n',
@@ -95,6 +105,9 @@ CASES = [
     ["evaluate", "d3.jsonl", "--mu", "inf", "--json", "e-mu-inf.json"],
     ["evaluate", "d3.jsonl", "--mu", "nan", "--json", "e-mu-nan.json"],
     ["evaluate", "d3.jsonl", "--mu", "-inf", "--json", "e-mu-neg-inf.json"],
+    # a finite mu that leaves the smoothed PMI not finite: overflow, underflow
+    ["evaluate", "d3.jsonl", "--mu", "1e200", "--json", "e-mu-huge.json"],
+    ["evaluate", "absent-class.jsonl", "--mu", "1e-200", "--json", "e-mu-tiny.json"],
     # optimize: tabulated at K=10 and K=30, incremental at N=10
     ["optimize", "d2.jsonl", "--k", "10", *_TAB, "--out", "a2-k10.json"],
     ["optimize", "d2.jsonl", "--k", "30", *_TAB, "--out", "a2-k30.json",
@@ -109,6 +122,8 @@ CASES = [
     ["optimize", "d3.jsonl", *_REPORTS, "--terms", "z1+z2", "--seed", "7",
      "--out", "a3-z1z2.json"],
     ["optimize", "d3.jsonl", *_OVERFLOW, "--out", "a3-overflow.json"],
+    ["optimize", "d3.jsonl", *_REPORTS, "--mu", "1e200", "--out", "a3-mu-huge.json"],
+    ["optimize", "absent-class.jsonl", *_REPORTS, "--mu", "1e-200", "--out", "a-mu-tiny.json"],
     # apply and evaluate --artifact
     ["apply", "d3.jsonl", "a3-k10.json", "--json", "ap3.json"],
     ["apply", "t3.jsonl", "a3-k10.json", "--json", "ap3-test.json"],

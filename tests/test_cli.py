@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -140,6 +141,62 @@ class TestEvaluate:
         assert runner.invoke(
             main, ["evaluate", str(path), "--format", "jsonl"]
         ).exit_code == 0
+
+
+class TestPmiRefusal:
+    # Class 2 has no true samples and no row predicts it, so its PMI
+    # denominator is mu * mu: infinite at mu=1e200 (as every class's is),
+    # 0 at mu=1e-200 and at 1e-170.
+    ROWS = [([0.6, 0.3, 0.1], 0), ([0.5, 0.2, 0.3], 0), ([0.2, 0.7, 0.1], 1),
+            ([0.45, 0.35, 0.2], 1)]
+
+    @pytest.mark.parametrize("command",
+                             ["evaluate", "apply", "optimize", "ablate", "sweep", "compare"])
+    @pytest.mark.parametrize("mu, bad", [("1e200", 0), ("1e-200", 2), ("1e-170", 2)])
+    def test_mu_leaving_the_pmi_not_finite_is_one_error_line(
+        self, runner, tmp_path, command, mu, bad
+    ):
+        ds = ProbabilityDataset.from_arrays(*zip(*self.ROWS))
+        data = _write_dataset(tmp_path, ds)
+        artifact = tmp_path / "artifact.json"
+        save_artifact(ReweightArtifact(
+            scale=WeightScale(3), selection=WeightSelection((3, 2, 3)),
+            objective_config=ObjectiveConfig(), final_objective=0.0,
+            provenance={"seed": 0, "schedule": {}, "dataset_fingerprint": ds.fingerprint(),
+                        "created_at": None},
+        ), artifact)
+        out = tmp_path / "out.json"
+        search = ["--k", "3", "--tmax", "10", "--tmin", "1"]
+        args = {
+            "evaluate": ["evaluate", data, "--json", str(out)],
+            "apply": ["apply", data, str(artifact), "--json", str(out)],
+            "optimize": ["optimize", data, *search, "--out", str(out)],
+            "ablate": ["ablate", data, data, *search, "--json", str(out)],
+            "sweep": ["sweep", data, data, "--sizes", "4", *search, "--json", str(out)],
+            "compare": ["compare", data, data, *search, "--json", str(out)],
+        }[command]
+        result = runner.invoke(main, [*args, "--mu", mu])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        expected = f"error: mu={float(mu):g} makes the smoothed PMI of class {bad} not finite"
+        if command not in ("evaluate", "apply"):  # the search refuses what some counts would give
+            expected += " for some confusion counts on this dataset"
+        assert result.stderr.splitlines() == [expected]
+        assert not out.exists()
+
+    def test_tiny_mu_reports_a_class_that_is_predicted(self, runner, tmp_path):
+        # the same rows with class 2 predicted once: every PMI is finite, so
+        # evaluate runs, while a search may reach counts without that prediction
+        rows = [*self.ROWS[:3], ([0.1, 0.2, 0.7], 1)]
+        data = _write_dataset(tmp_path, ProbabilityDataset.from_arrays(*zip(*rows)))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["evaluate", data, "--mu", "1e-200", "--json", str(out)])
+        assert result.exit_code == 0
+        assert all(math.isfinite(v) for v in json.loads(out.read_text())["pmi"])
+        result = runner.invoke(main, ["optimize", data, "--k", "3", "--mu", "1e-200",
+                                      "--out", str(tmp_path / "a.json")])
+        assert result.exit_code == 1
+        assert not (tmp_path / "a.json").exists()
 
 
 class TestOptimizeAndApply:

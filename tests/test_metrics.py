@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from cobias import (
     odd_classes,
     predict_dataset,
 )
-from cobias.metrics import accuracy_from_counts, pmi_from_counts, report_document
+from cobias.metrics import accuracy_from_counts, check_mu, pmi_from_counts, report_document
 
 from helpers import REFERENCE_COUNTS, REFERENCE_ROW_TOTALS, dataset_from_confusion
 
@@ -232,6 +233,30 @@ class TestPmi:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValidationError):
             pmi_from_counts(np.array([[1, 0], [0, 1]]), mu=-0.1)
+
+    @pytest.mark.parametrize("mu, bad", [(1e200, 0), (1e-200, 2), (1e-170, 2)])
+    def test_mu_leaving_a_value_not_finite_is_refused(self, mu, bad):
+        # class 2 has no true samples and no predictions: its denominator is
+        # mu * mu, which a huge mu overflows and a tiny one underflows to 0
+        counts = np.array([[2, 0, 0], [1, 1, 0], [0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ValidationError) as refused:
+                pmi_from_counts(counts, mu)
+        assert str(refused.value) == f"mu={mu:g} makes the smoothed PMI of class {bad} not finite"
+
+    def test_tiny_mu_runs_where_every_value_is_finite(self):
+        # a prediction of class 2 keeps its denominator at (1 + mu) * mu
+        pmi = pmi_from_counts(np.array([[2, 0, 0], [1, 0, 1], [0, 0, 0]]), 1e-200)
+        assert np.all(np.isfinite(pmi))
+        assert pmi_from_counts(np.array([[2, 0, 0], [1, 1, 0], [0, 0, 0]]), 1e-160)[2] > 300
+
+    def test_class_totals_refuse_a_mu_some_counts_would_break(self):
+        check_mu(1e-200, np.array([2, 2, 1]))
+        check_mu(1e-160, np.array([2, 2, 0]))
+        for mu, totals in [(1e-200, [2, 2, 0]), (1e200, [2, 2, 1])]:
+            with pytest.raises(ValidationError, match="for some confusion counts on this dataset"):
+                check_mu(mu, np.array(totals))
 
 
 class TestReports:

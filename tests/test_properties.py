@@ -8,6 +8,7 @@ from cobias import (
     IncrementalEvaluator,
     ObjectiveConfig,
     ProbabilityDataset,
+    ValidationError,
     WeightScale,
     WeightSelection,
     batch_calibrate,
@@ -16,7 +17,7 @@ from cobias import (
     predict_dataset,
 )
 from cobias.data import _stratified_subsample
-from cobias.metrics import pmi_from_counts
+from cobias.metrics import check_mu, pmi_from_counts
 
 from helpers import random_dataset
 
@@ -112,6 +113,37 @@ class TestPmiProperties:
         counts = rng.integers(0, 50, size=(n, n))
         counts[0, 0] += 1  # at least one sample
         assert np.all(np.isfinite(pmi_from_counts(counts, mu=1e-3)))
+
+    @FAST
+    @given(st.integers(0, 10_000), st.floats(-325, 308))
+    def test_class_totals_refuse_exactly_the_mu_some_counts_break(self, seed, log_mu):
+        # per class j, the four count matrices at the corners of its (joint,
+        # predicted) range: its own row goes to j or elsewhere, and every
+        # other row to j or elsewhere
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        totals = rng.integers(0, 30, size=n) * (rng.random(n) < 0.8)
+        totals[0] += 1
+        mu = 10.0**log_mu
+        corners = []
+        for j in range(n):
+            for own in (j - 1, j):
+                for others in (j - 1, j):
+                    counts = np.zeros((n, n), dtype=np.int64)
+                    counts[:, others] = totals
+                    counts[j] = 0
+                    counts[j, own] = totals[j]
+                    corners.append(counts)
+        try:
+            check_mu(mu, totals)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                for counts in corners:
+                    pmi_from_counts(counts, mu)
+        else:
+            random = [rng.multinomial(t, rng.dirichlet(np.ones(n))) for t in totals]
+            for counts in [*corners, np.array(random)]:
+                assert np.all(np.isfinite(pmi_from_counts(counts, mu)))
 
 
 class TestBatchCalibrationProperties:
