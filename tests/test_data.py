@@ -781,6 +781,26 @@ class TestArtifactRoundTrip:
         assert back.objective_config == artifact.objective_config
         assert back.provenance == artifact.provenance
 
+    @pytest.mark.parametrize("created_at", [None, "2026-01-02T03:04:05.678901+00:00"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, created_at):
+        artifact = _make_artifact()
+        artifact.provenance["created_at"] = created_at
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_artifact(artifact, first)
+        back = load_artifact(first)
+        save_artifact(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert list(back.provenance) == ["seed", "schedule", "dataset_fingerprint", "created_at"]
+        assert back.provenance["created_at"] == created_at
+
+    def test_unknown_provenance_keys_are_dropped(self, tmp_path):
+        p = tmp_path / "a.json"
+        save_artifact(_make_artifact(), p)
+        doc = json.loads(p.read_text())
+        doc["provenance"] = {"host": "x", **doc["provenance"], "extra": [1]}
+        p.write_text(json.dumps(doc))
+        assert load_artifact(p).provenance == _make_artifact().provenance
+
     def test_top_indices_reload_as_unit_coefficients(self, tmp_path):
         artifact = _make_artifact(indices=(30, 30, 30, 30))
         p = tmp_path / "a.json"
