@@ -35,9 +35,9 @@ from .errors import ValidationError
 from .metrics import (
     DEFAULT_MU,
     _gap_weights,
-    check_mu,
     _pairwise_gap,
     _pmi,
+    check_mu,
     confusion,
     counts_from_predictions,
 )
