@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cobias import data
 from cobias import (
@@ -347,6 +347,36 @@ _CORRUPTIONS = [
 
 _GOOD_LINE = {"jsonl": '{"probs":[0.5,0.5],"label":0}', "csv": "0.5,0.5,0"}
 
+# The five places of a token in a JSONL line, with their usual contents:
+# before the object, the two probabilities, the label, and after the label.
+_JSONL_SLOTS = ("", "0.5", "0.5", "1", "")
+# Tokens that orjson refuses and json reads (NaN, Infinity, numbers beyond
+# the double range, a BOM, a lone surrogate escape), that orjson reads as a
+# float and json as an int (integers beyond 64 bits), and ordinary ones; each
+# at a probability (slot 1) and at the label (slot 3).
+_JSONL_TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 400, "\ufeff0.5", '"\\ud800"',
+    str(2**64), str(2**63), str(-(2**63) - 1), "true", "null", '"0.5"', "-0", "-0.0",
+    "1E0", "1.0", "0", "1e-400", "5e-324", "2.2250738585072011e-308",
+    "0.1000000000000000055511151231257827021181583404541015625",
+]
+_JSONL_TOKEN_CASES = [(token, slot) for token in _JSONL_TOKENS for slot in (1, 3)] + [
+    ("\ufeff", 0),  # a leading BOM, at the start of the file
+    (',"label":0', 4),  # a duplicate key: both parsers keep the last value
+    (',"label":"x"', 4),
+    (',"\\ud800":0', 4),
+    ("} x", 4),  # trailing garbage
+]
+
+
+def _examples(cases):
+    """Add each case as an explicit hypothesis example, run on every test run."""
+    def wrap(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return wrap
+
 
 class TestBulkParsers:
     """The bulk parsers accept the same files, build the same arrays and raise
@@ -456,6 +486,20 @@ class TestBulkParsers:
         path = _write_lines(tmp_path_factory.mktemp("token") / "d.csv",
                             ["0.25,0.75,0", ",".join(line), "1.0,0.0,1"])
         assert _outcome(path, "csv") == _line_parser_outcome(path, "csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet='0123456789.eE+-"\\ ,:[]{}NaIfinytrulsx\ufeff', max_size=8),
+           st.integers(0, len(_JSONL_SLOTS) - 1))
+    @_examples(_JSONL_TOKEN_CASES)
+    def test_any_jsonl_token_matches_the_line_parser(self, tmp_path_factory, token, slot):
+        # the bulk parser reads with orjson, the line parser with json
+        fields = list(_JSONL_SLOTS)
+        fields[slot] = token
+        path = _write_lines(tmp_path_factory.mktemp("token") / "d.jsonl", [
+            '%s{"probs":[%s,%s],"label":%s%s}' % tuple(fields),
+            '{"probs":[0.25,0.75],"label":0}', '{"probs":[1.0,0.0],"label":1}',
+        ])
+        assert _outcome(path, "jsonl") == _line_parser_outcome(path, "jsonl")
 
     # each file is a good line 0, the corrupted line 1, a good line 2
     @pytest.mark.parametrize("fmt, bad, message", _CORRUPTIONS)
