@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -391,6 +392,12 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
             raise ValidationError(
                 f"size {size} outside [1, {m}]: the optimization set has {m} samples"
             )
+    if config.use_z3:  # refuse a mu that some subset cannot take before the first anneal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the runs below warn, in their own order
+            for size, s in itertools.product(size_list, seed_list):
+                labels = _stratified_subsample(opt_set, size, np.random.default_rng(s)).labels
+                check_mu(config.mu, np.bincount(labels, minlength=opt_set.num_classes))
     rows = []
     for size in size_list:
         accs, cbs = [], []

@@ -634,6 +634,30 @@ class TestSweep:
         ]
         assert anneals == [] and not out.exists()
 
+    def test_mu_a_later_subset_cannot_take_rejected_before_any_anneal(
+        self, runner, small_sets, tmp_path, monkeypatch
+    ):
+        # the full set has every class; the 2-row subset, a simple random
+        # sample, lacks one, whose PMI denominator mu * mu underflows to 0
+        opt, test = small_sets
+        out = tmp_path / "sweep.json"
+        args = ["sweep", opt, test, "--sizes", "120,2", "--seeds", "0", "--k", "2",
+                "--tmax", "10", "--tmin", "1", "--mu", "1e-200", "--json", str(out)]
+        anneals = []
+        with monkeypatch.context() as patch:
+            patch.setattr("cobias.cli.anneal", lambda *args: anneals.append(args))
+            result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: mu=1e-200 makes the smoothed PMI of class 0 not finite "
+            "for some confusion counts on this dataset"
+        ]
+        assert anneals == [] and not out.exists()
+        # without the PMI term no run reads mu, so the same sweep runs
+        result = runner.invoke(main, [*args, "--terms", "z1+z2"])
+        assert result.exit_code == 0 and out.exists()
+
     def test_tiny_size_warns_and_falls_back(self, runner, small_sets):
         opt, test = small_sets
         result = runner.invoke(
