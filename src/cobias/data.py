@@ -413,13 +413,9 @@ def _parse_chunked(text: str, parse_block, parse_lines):
 
 def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse JSONL rows with orjson and whole-chunk checks; None if any line
-    fails them.
-
-    orjson refuses some lines that ``json`` reads (NaN, Infinity, numbers
-    beyond the float range, lone surrogate escapes) and reads an integer
-    beyond 64 bits as a float, which the label check refuses; such a file
-    goes to ``_parse_jsonl_lines``, which names any error.
-    """
+    fails them. A line orjson refuses and json reads (NaN, Infinity, numbers
+    beyond the double range) or an integer label beyond 64 bits, which orjson
+    reads as a float, thus sends the file to ``_parse_jsonl_lines``."""
     import orjson  # here, not at module import: `cobias --version` need not pay for it
 
     probs, labels = [], []
@@ -427,7 +423,7 @@ def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         for obj in map(orjson.loads, lines):  # keeps two fields, never the parsed dicts
             probs.append(obj["probs"])
             labels.append(obj["label"])
-    except (ValueError, TypeError, KeyError, RecursionError):
+    except (ValueError, TypeError, KeyError):
         return None
     # orjson yields exact int/float/bool, so exact type sets state the
     # per-line isinstance rules (bool is neither a number nor a label)
