@@ -11,7 +11,10 @@ top scale point), i.e. from the uncorrected baseline predictions.
 Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
 makes enough proposals that scoring the whole search space costs fewer row
 passes (``_tabulates``), by lookups into ``objective_table``. Both give the
-same values, so a seeded run gives the same result either way.
+same values, so a seeded run gives the same result either way. An
+evaluator's ``propose`` returns the objective total as a float; the chain
+reads the full ``ObjectiveValue`` (``evaluator.value``) only at the start
+and when an accepted move sets a strict new best.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ class _TableEvaluator:
 
     The current selection is a mixed-radix flat index into the table (digit
     ``index - 1`` per class, the last class least significant), so a move
-    is a stride times the index change and a value is a lookup.
+    is a stride times the index change and a proposal's total is a lookup.
     """
 
     def __init__(
@@ -145,24 +148,22 @@ class _TableEvaluator:
     ):
         n, k = dataset.num_classes, scale.k_points
         self._table = objective_table(dataset, scale, config)
+        self._totals = self._table.total.tolist()  # a proposal reads one plain float
         self._strides = [k ** (n - 1 - c) for c in range(n)]
         self._indices = list(selection.indices)
         self._flat = sum((i - 1) * s for i, s in zip(self._indices, self._strides))
 
     @property
     def value(self) -> ObjectiveValue:
-        return self._at(self._flat)
-
-    def _at(self, flat: int) -> ObjectiveValue:
-        t = self._table
+        t, flat = self._table, self._flat
         return ObjectiveValue(*(None if v is None else float(v[flat]) for v in
                                 (t.z1_error_rate, t.z2_cobias, t.z3_pmi_sum, t.total)))
 
     def _moved(self, class_index: int, new_index: int) -> int:
         return self._flat + (new_index - self._indices[class_index]) * self._strides[class_index]
 
-    def propose(self, class_index: int, new_index: int) -> ObjectiveValue:
-        return self._at(self._moved(class_index, new_index))
+    def propose(self, class_index: int, new_index: int) -> float:
+        return self._totals[self._moved(class_index, new_index)]
 
     def apply(self, class_index: int, new_index: int) -> None:
         self._flat = self._moved(class_index, new_index)
@@ -221,9 +222,9 @@ def anneal(
 
     rng = np.random.default_rng(schedule.seed)
     indices = np.asarray(init.indices, dtype=np.int64)
-    current = evaluator.value
+    best_value = evaluator.value
+    current = best = best_value.total
     best_selection = init
-    best_value = current
     proposal_limit = schedule.proposals_per_temperature(n, k)
     accept_limit = schedule.acceptances_per_temperature(n, k)
     records = []
@@ -237,22 +238,23 @@ def anneal(
             candidate = evaluator.propose(c, new_index)
             evaluations += 1
             proposals += 1
-            dz = candidate.total - current.total
+            dz = candidate - current
             if dz <= 0 or rng.random() < math.exp(-dz / temperature):
                 evaluator.apply(c, new_index)
                 indices[c] = new_index
                 current = candidate
                 accepted += 1
-                if candidate.total < best_value.total:
-                    best_value = candidate
+                if candidate < best:
+                    best = candidate
+                    best_value = evaluator.value
                     best_selection = WeightSelection(tuple(int(i) for i in indices))
-        if records and best_value.total > records[-1]["best"]:
+        if records and best > records[-1]["best"]:
             raise AssertionError("best objective increased; annealer invariant broken")
         records.append({
             "iteration": t,
             "temperature": temperature,
-            "current": current.total,
-            "best": best_value.total,
+            "current": current,
+            "best": best,
             "acceptance_rate": accepted / proposals if proposals else 0.0,
         })
 

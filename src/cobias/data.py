@@ -171,6 +171,13 @@ def _json_integer(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    # float() would parse "2.7" and read true as 1.0; a weight must be a JSON number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic biased dataset.
@@ -454,6 +461,8 @@ def _parse_jsonl_lines(lines: list[str]) -> tuple[list[list[float]], list[int]]:
             raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
         except ValueError as exc:  # an integer literal above sys.get_int_max_str_digits()
             raise DatasetFormatError(f"invalid number ({exc})", line=lineno) from None
+        except RecursionError:
+            raise DatasetFormatError("invalid JSON (nested too deeply)", line=lineno) from None
         if not isinstance(obj, dict) or "probs" not in obj or "label" not in obj:
             raise DatasetFormatError('expected object with "probs" and "label"', line=lineno)
         probs = obj["probs"]
@@ -500,6 +509,8 @@ def read_json(path, what: str, error: type[ValidationError] = ValidationError):
         raise error(f"{what} is not valid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal above sys.get_int_max_str_digits()
         raise error(f"{what} has an invalid number: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} is not valid JSON: nested too deeply") from None
 
 
 def _parse_number(token: str, lineno: int, what: str) -> float:
@@ -660,16 +671,18 @@ def load_artifact(path) -> ReweightArtifact:
             f"expected {ARTIFACT_SCHEMA_VERSION}"
         )
     try:
-        scale = WeightScale(int(doc["k_points"]))
-        selection = WeightSelection(tuple(int(i) for i in doc["indices"]))
+        scale = WeightScale(_json_integer(doc["k_points"], "k_points"))
+        selection = WeightSelection(tuple(_json_integer(i, "indices") for i in doc["indices"]))
+        stored = [_json_number(c, "coefficients") for c in doc["coefficients"]]
         config = ObjectiveConfig.from_dict(doc["objective_config"])
-        final_objective = float(doc["final_objective"])
+        final_objective = _json_number(doc["final_objective"], "final_objective")
         prov = doc["provenance"]
         fingerprint = prov["dataset_fingerprint"]
         # the checked fields in save_artifact's key order; unknown keys are dropped
-        provenance = {"seed": int(prov["seed"]), "schedule": dict(prov["schedule"]),
+        provenance = {"seed": _json_integer(prov["seed"], "seed"),
+                      "schedule": dict(prov["schedule"]),
                       "dataset_fingerprint": fingerprint, "created_at": prov.get("created_at")}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"artifact schema violation: {exc!r}") from exc
     if not isinstance(fingerprint, str) or not fingerprint:
         raise ArtifactError("artifact schema violation: dataset fingerprint absent")
@@ -680,7 +693,6 @@ def load_artifact(path) -> ReweightArtifact:
         final_objective=final_objective,
         provenance=provenance,
     )
-    stored = [float(c) for c in doc["coefficients"]]
     if len(stored) != artifact.num_classes or any(
         s != c for s, c in zip(stored, artifact.coefficients)
     ):

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ProbabilityDataset, WeightScale, WeightSelection
+from .data import ProbabilityDataset, WeightScale, WeightSelection, _json_number
 from .errors import ValidationError
 from .metrics import (
     DEFAULT_MU,
@@ -103,12 +103,8 @@ class ObjectiveConfig:
         for name, value in flags.items():
             if not isinstance(value, bool):
                 raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
-        return cls(
-            beta=float(doc["beta"]),
-            tau=float(doc["tau"]),
-            mu=float(doc["mu"]),
-            **flags,
-        )
+        weights = {name: _json_number(doc[name], name) for name in ("beta", "tau", "mu")}
+        return cls(**weights, **flags)
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,8 @@ class IncrementalEvaluator:
     warnings issued, once per evaluator rather than once per proposal.
 
     A single solver run owns the cache; ``propose`` is side-effect free and
-    ``apply`` commits a move.
+    returns the objective total, and ``apply`` commits a move and returns
+    its full value.
     """
 
     def __init__(
@@ -348,8 +345,10 @@ class IncrementalEvaluator:
             np.maximum(best, col, out=best)
         return preds, best
 
-    def propose(self, class_index: int, new_index: int) -> ObjectiveValue:
-        """Objective value with one class's weight changed; state untouched."""
+    def propose(self, class_index: int, new_index: int) -> float:
+        """Objective total with one class's weight changed; state untouched.
+
+        The full value is kept for ``apply``, which returns it."""
         self._check_move(class_index, new_index)
         c = class_index
         weights = self._indices / self.scale.k_points
@@ -378,7 +377,7 @@ class IncrementalEvaluator:
         else:
             counts, value = self._counts, self._value
         self._pending = (c, new_index, rows, new_preds, new_max, counts, value)
-        return value
+        return value.total
 
     def apply(self, class_index: int, new_index: int) -> ObjectiveValue:
         """Commit a single-class weight change and return the new value."""

@@ -9,8 +9,9 @@ writes; ``test_golden.py`` reruns the cases and compares.
 
 The cases cover every command, both dataset formats, ``optimize --trace``,
 the ``--json`` reports, tabulated search spaces (N=2-4 at K=10, N=2-3 at
-K=30) and an incremental one (N=10, K=30), one case per error class, and
-`--mu` values that leave the smoothed PMI not finite.
+K=30) and an incremental one (N=10, K=30), one case per error class,
+`--mu` values that leave the smoothed PMI not finite, a dataset line nested
+too deeply for ``json`` and an artifact whose K is not an integer.
 No case passes ``--timestamp``, whose output depends on the clock.
 
 After a change of output that is meant, rewrite the manifest with
@@ -78,6 +79,11 @@ INPUTS = {
     "bad-artifact.json": json.dumps({"kind": "reweight_artifact", "schema_version": 99}),
     "bad-row.jsonl": '{"probs": [0.7, 0.7], "label": 0}\n',
     "data.txt": "",
+    # nested past the interpreter's recursion limit, where json raises RecursionError
+    "deep.jsonl": '{"probs":%s%s,"label":0}\n' % ("[" * 100_000, "]" * 100_000),
+    # a fractional K, which int() would truncate to 10
+    "fractional-k-artifact.json": json.dumps({"kind": "reweight_artifact", "schema_version": 1,
+                                              "k_points": 10.9}),
 }
 
 # Short schedules: 11 levels from 10 down to 1. The tabulated ones make
@@ -155,6 +161,8 @@ CASES = [
     ["evaluate", "missing.jsonl"],
     ["apply", "d3.jsonl", "bad-artifact.json"],
     ["generate", "--spec", "bad-spec.json", "--out", "never.jsonl"],
+    ["evaluate", "deep.jsonl"],
+    ["apply", "d3.jsonl", "fractional-k-artifact.json"],
 ]
 
 

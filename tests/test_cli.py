@@ -1,6 +1,9 @@
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -45,6 +48,66 @@ def small_sets(tmp_path):
         _write_dataset(tmp_path, opt, "opt.jsonl"),
         _write_dataset(tmp_path, test, "test.jsonl"),
     )
+
+
+class TestExecutable:
+    """``python -m cobias.cli`` runs ``cli.run``, which the in-process tests
+    through ``CliRunner`` never reach."""
+
+    @staticmethod
+    def _run(args, cwd):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "cobias.cli", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def test_version_exits_0(self, tmp_path):
+        result = self._run(["--version"], tmp_path)
+        assert result.returncode == 0
+        assert cli.__version__ in result.stdout and result.stderr == ""
+
+    def test_optimize_trace_matches_the_in_process_run(
+        self, runner, small_sets, tmp_path, monkeypatch
+    ):
+        opt, _ = small_sets
+        args = ["optimize", opt, "--k", "4", "--tmax", "10", "--tmin", "1", "--seed", "3",
+                "--out", "a.json", "--trace", "trace.jsonl"]
+        (tmp_path / "exe").mkdir()
+        (tmp_path / "in").mkdir()
+        executable = self._run(args, tmp_path / "exe")
+        monkeypatch.chdir(tmp_path / "in")
+        in_process = runner.invoke(main, args)
+        assert executable.returncode == in_process.exit_code == 0
+        assert executable.stdout == in_process.stdout
+        for name in ("a.json", "trace.jsonl"):
+            assert (tmp_path / "exe" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+
+    @pytest.mark.parametrize("args, code, prefix", [
+        (["evaluate", "d.jsonl", "--mu", "nan"], 1, "error: "),
+        (["evaluate", "missing.jsonl"], 2, "i/o error: "),
+    ])
+    def test_errors_are_one_line_with_the_exit_code(self, tmp_path, args, code, prefix):
+        (tmp_path / "d.jsonl").write_text('{"probs":[0.6,0.4],"label":0}\n')
+        result = self._run(args, tmp_path)
+        assert result.returncode == code
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+
+    def test_only_the_executable_freezes_the_heap(self, runner, tmp_path, monkeypatch):
+        # not --version: click's version option keeps the first program name it sees
+        args = ["evaluate", str(tmp_path / "missing.jsonl")]
+        assert runner.invoke(main, args).exit_code == 2
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["cobias", *args])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == 2
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestEvaluate:
@@ -270,6 +333,28 @@ class TestOptimizeAndApply:
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "has an invalid number" in lines[0]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("dataset", "error: line 1: invalid JSON (nested too deeply)"),
+        ("artifact", "error: artifact file is not valid JSON: nested too deeply"),
+        ("spec", "error: spec file is not valid JSON: nested too deeply"),
+    ])
+    def test_deeply_nested_json_is_one_error_line(self, runner, small_sets, tmp_path, kind,
+                                                  message):
+        # json raises RecursionError past the interpreter's recursion limit
+        opt, _ = small_sets
+        deep = "[" * 100_000
+        dataset, doc = tmp_path / "deep.jsonl", tmp_path / "deep.json"
+        dataset.write_text('{"probs":[0.5,0.5],"label":0}\n'
+                           '{"probs":%s%s,"label":0}\n' % (deep, "]" * len(deep)))
+        doc.write_text(deep)
+        args = {"dataset": ["evaluate", str(dataset)],
+                "artifact": ["apply", opt, str(doc)],
+                "spec": ["generate", "--spec", str(doc), "--out", str(tmp_path / "g.jsonl")]}[kind]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [message]
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
     def test_mu_zero_with_pmi_term_rejected_before_any_work(self, runner, tmp_path, command):

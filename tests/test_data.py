@@ -890,6 +890,37 @@ class TestArtifactRoundTrip:
                                                 "a JSON boolean"):
             load_artifact(p)
 
+    @pytest.mark.parametrize("field, value, message", [
+        (("k_points",), 10.9, "k_points must be an integer"),
+        (("k_points",), True, "k_points must be an integer"),
+        (("indices",), ["3", "1", "1", "20"], "indices must be an integer"),
+        (("indices",), [3.0, 1, 1, 20], "indices must be an integer"),
+        (("provenance", "seed"), 4.7, "seed must be an integer"),
+        (("provenance", "seed"), "4", "seed must be an integer"),
+        (("final_objective",), "-0.6166", "final_objective must be a number"),
+        (("final_objective",), True, "final_objective must be a number"),
+        (("coefficients",), ["0.1", 1 / 30, 1 / 30, 2 / 3], "coefficients must be a number"),
+        (("coefficients",), [0.1, False, 1 / 30, 2 / 3], "coefficients must be a number"),
+        (("objective_config", "beta"), "2.7", "beta must be a number"),
+        (("objective_config", "tau"), None, "tau must be a number"),
+        (("objective_config", "mu"), True, "mu must be a number"),
+        pytest.param(("objective_config", "mu"), 10**400, "int too large to convert to float",
+                     id="mu-beyond-float"),
+    ])
+    def test_integer_and_number_fields_are_checked_not_coerced(self, tmp_path, field, value,
+                                                               message):
+        p = tmp_path / "a.json"
+        save_artifact(_make_artifact(), p)
+        doc = json.loads(p.read_text())
+        *parents, name = field
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match=f"artifact schema violation.*{message}"):
+            load_artifact(p)
+
     def test_tampered_coefficients_rejected(self, tmp_path):
         artifact = _make_artifact()
         p = tmp_path / "a.json"

@@ -260,7 +260,9 @@ class TestIncrementalEvaluator:
         scale = WeightScale(8)
         sel = WeightSelection((3, 5, 8))
         state = IncrementalEvaluator(ds, scale, ObjectiveConfig(), sel)
-        assert state.propose(1, 5) == state.value
+        before = state.value
+        assert state.propose(1, 5) == before.total
+        assert state.apply(1, 5) == before
 
     def test_zero_mass_class_weight_is_irrelevant(self):
         probs = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.8, 0.2, 0.0]])
@@ -271,7 +273,8 @@ class TestIncrementalEvaluator:
         )
         before = state.value
         for idx in (2, 7, 10):
-            assert state.propose(2, idx).total == before.total
+            assert state.propose(2, idx) == before.total
+            assert state.apply(2, idx) == before
 
     def test_random_walk_matches_full_evaluation(self):
         # 1000 random single-class moves; the cached path must track a fresh
@@ -314,8 +317,9 @@ class TestIncrementalEvaluator:
         scale = WeightScale(5)
         cfg = ObjectiveConfig()
         state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((5, 5, 5)))
-        v = state.propose(0, 2)
-        assert v.total == evaluate(ds, WeightSelection((2, 5, 5)), scale, cfg).total
+        expected = evaluate(ds, WeightSelection((2, 5, 5)), scale, cfg)
+        assert state.propose(0, 2) == expected.total
+        assert state.apply(0, 2) == expected
 
     def test_move_validation(self):
         rng = np.random.default_rng(5)
