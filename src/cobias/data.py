@@ -15,6 +15,7 @@ import json
 import math
 import os
 import pickle
+import re
 import signal
 import warnings
 from dataclasses import dataclass, field
@@ -132,6 +133,8 @@ class WeightScale:
     def __post_init__(self):
         if self.k_points < 1:
             raise ValidationError(f"k_points must be >= 1, got {self.k_points}")
+        if self.k_points > 2**53:  # so every k and k/K is an exact float64
+            raise ValidationError(f"k_points must be <= 2**53, got {self.k_points}")
 
 
 @dataclass(frozen=True)
@@ -333,28 +336,28 @@ def _parse_blocks(text: str, parse_block, start: int, stop: int):
     return blocks
 
 
-def _join(blocks):
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _parse_blocks_in_two(text: str, parse_block, mid: int):
-    """``_parse_blocks`` over all of ``text``, ``text[mid:]`` in a forked child.
+def _in_two(here, there, fork: bool):
+    """``(here(), there())``, with ``there`` run by a forked child if ``fork``.
 
-    The child pickles its blocks (or None) into a pipe and leaves through
-    ``os._exit``, so it runs no cleanup and flushes no inherited buffer. Its
-    blocks count only if they unpickle and it exits 0. A child whose blocks
-    are not needed is killed, and it is always reaped.
+    The child pickles its result into a pipe and leaves through ``os._exit``,
+    so it runs no cleanup and flushes no inherited buffer. Its result counts
+    only if it unpickles and the child exits 0, else ``there`` runs again
+    here. A child is killed unread when ``here()`` is None or raises, and
+    always reaped. Without fork or a second usable CPU both run here.
     """
+    if not (fork and hasattr(os, "fork") and _usable_cpus() > 1):
+        first = here()
+        return (None, None) if first is None else (first, there())
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12+ warns on any fork once numpy's BLAS pool has started;
-        # the child parses text and touches no BLAS
+        # the children parse or format text and touch no BLAS
         warnings.filterwarnings(
             "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
         )
@@ -364,30 +367,28 @@ def _parse_blocks_in_two(text: str, parse_block, mid: int):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                second = _parse_blocks(text, parse_block, mid, len(text))
-                if second:  # two large arrays, not two per chunk, leave the parent a lower peak
-                    second = [_join(second)]
-                pickle.dump(second, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(there(), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     first = second = None
+    read = False
     try:
         with open(read_fd, "rb") as pipe:
-            first = _parse_blocks(text, parse_block, 0, mid)
+            first = here()
             if first is not None:
                 try:
-                    second = pickle.load(pipe)
+                    second, read = pickle.load(pipe), True
                 except (EOFError, pickle.UnpicklingError):  # the child died mid-dump
                     pass
     finally:
-        if second is None:  # its blocks will not be read, so it need not finish
+        if not read:  # its result will not be read, so it need not finish
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if first is None or second is None or os.waitstatus_to_exitcode(status) != 0:
-        return None
-    return first + second
+    if first is not None and not (read and os.waitstatus_to_exitcode(status) == 0):
+        second = there()
+    return first, second
 
 
 def _parse_chunked(text: str, parse_block, parse_lines):
@@ -396,26 +397,30 @@ def _parse_chunked(text: str, parse_block, parse_lines):
     ``parse_block`` returns a chunk's (probs, labels) arrays, or None when
     its checks cannot vouch for every line. Then, or when the width changes
     between chunks, ``parse_lines`` parses the file from line 0 and names the
-    first bad line. Where a fork and a second CPU are available, text longer
-    than two chunks is split right after the first "\\n" at or past its
-    midpoint and parsed by two processes; a forked child reads the text
-    without a copy.
+    first bad line. Text longer than two chunks is parsed by two processes,
+    split right after the first "\\n" at or past its midpoint; a forked child
+    reads the text without a copy.
     """
-    mid = text.find("\n", len(text) // 2) + 1
-    if (
-        len(text) > 2 * _CHUNK_CHARS
-        and 0 < mid < len(text)
-        and hasattr(os, "fork")
-        and _usable_cpus() > 1
-    ):
-        blocks = _parse_blocks_in_two(text, parse_block, mid)
-    else:
-        blocks = _parse_blocks(text, parse_block, 0, len(text))
+    mid = text.find("\n", len(text) // 2) + 1 or len(text)
+    first, second = _in_two(lambda: _parse_blocks(text, parse_block, 0, mid),
+                            lambda: _parse_blocks(text, parse_block, mid, len(text)),
+                            fork=len(text) > 2 * _CHUNK_CHARS)
+    blocks = None if second is None else first + second
     if blocks is None or len({probs.shape[1] for probs, _ in blocks}) > 1:
         return parse_lines(text.splitlines())
     if not blocks:  # an empty file
         return [], []
-    return _join(blocks)
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _number_rows(rows: list) -> bool:
+    """Whether orjson's ``rows`` are lists of one width of numbers. orjson yields
+    exact types, so type sets state the per-line isinstance rules (a bool is no number)."""
+    return (
+        set(map(type, rows)) == {list}
+        and len(set(map(len, rows))) == 1
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+    )
 
 
 def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -432,15 +437,7 @@ def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
             labels.append(obj["label"])
     except (ValueError, TypeError, KeyError):
         return None
-    # orjson yields exact int/float/bool, so exact type sets state the
-    # per-line isinstance rules (bool is neither a number nor a label)
-    if (
-        set(map(type, probs)) == {list}
-        and set(map(len, probs)) == {len(probs[0])}
-        and len(probs[0]) >= 2
-        and set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}
-        and set(map(type, labels)) == {int}
-    ):
+    if _number_rows(probs) and len(probs[0]) >= 2 and set(map(type, labels)) == {int}:
         try:
             return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64)
         except OverflowError:  # a probability beyond the float range, a label beyond int64
@@ -521,24 +518,29 @@ def _parse_number(token: str, lineno: int, what: str) -> float:
 
 
 def _csv_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse CSV rows through one ``np.loadtxt`` call.
+    """Parse CSV rows as one JSON array of arrays with orjson.
 
-    None for any chunk the call refuses, or whose labels are not integers in
-    the int64 range; ``_parse_csv_lines`` then names the first bad line and
-    also reads the quoted fields, ``1_0`` and non-ASCII digits that ``csv``
-    and ``float()`` accept and ``loadtxt`` does not.
+    None for a chunk with a bracket, brace or quote (a line need not be one
+    row then), a ``-0`` integer, a token outside JSON's number grammar,
+    unequal widths, or labels that are not integers in the int64 range;
+    ``_parse_csv_lines`` then names the first bad line, or reads the quoted
+    fields and the forms JSON lacks (``.5``, ``+1``, ``1.``, ``inf``, ``1_0``).
     """
-    # loadtxt skips empty lines, and warns when it reads no row; the loop rejects them
-    if "" in lines:
+    import orjson  # here, not at module import: `cobias --version` need not pay for it
+
+    text = "\n".join(lines)
+    # an integer "-0" (not "-0.0" or the exponent of "1e-0"): orjson reads 0, float() -0.0
+    if any(c in text for c in '[]{}"') or re.search(r"-0(?![.eE0-9])(?<![eE]-0)", text):
         return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        rows = orjson.loads("[[" + "],[".join(lines) + "]]")
     except ValueError:
         return None
+    if not (_number_rows(rows) and len(rows[0]) >= 3):
+        return None
+    table = np.array(rows, dtype=np.float64)
     probs, labels = table[:, :-1], table[:, -1]
-    if probs.shape[1] >= 2 and np.all(
-        (labels == np.trunc(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)
-    ):
+    if np.all((labels == np.trunc(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)):
         return probs, labels.astype(np.int64)
     return None
 

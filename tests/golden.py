@@ -11,7 +11,8 @@ The cases cover every command, both dataset formats, ``optimize --trace``,
 the ``--json`` reports, tabulated search spaces (N=2-4 at K=10, N=2-3 at
 K=30) and an incremental one (N=10, K=30), one case per error class,
 `--mu` values that leave the smoothed PMI not finite, a dataset line nested
-too deeply for ``json`` and an artifact whose K is not an integer.
+too deeply for ``json``, an artifact whose K is not an integer, and a K
+beyond 2**53 given as a flag or read from an artifact.
 No case passes ``--timestamp``, whose output depends on the clock.
 
 After a change of output that is meant, rewrite the manifest with
@@ -84,6 +85,15 @@ INPUTS = {
     # a fractional K, which int() would truncate to 10
     "fractional-k-artifact.json": json.dumps({"kind": "reweight_artifact", "schema_version": 1,
                                               "k_points": 10.9}),
+    # a well-formed artifact but for its 401-digit K, which no float can hold
+    "huge-k-artifact.json": json.dumps({
+        "schema_version": 1, "kind": "reweight_artifact", "k_points": 10**400,
+        "indices": [1, 1, 1], "coefficients": [0.0, 0.0, 0.0],
+        "objective_config": {"beta": 1.0, "tau": 1.0, "mu": 1.0,
+                             "use_z1": True, "use_z2": True, "use_z3": True},
+        "final_objective": 0.0,
+        "provenance": {"seed": 0, "schedule": {}, "dataset_fingerprint": "0"},
+    }),
 }
 
 # Short schedules: 11 levels from 10 down to 1. The tabulated ones make
@@ -163,6 +173,10 @@ CASES = [
     ["generate", "--spec", "bad-spec.json", "--out", "never.jsonl"],
     ["evaluate", "deep.jsonl"],
     ["apply", "d3.jsonl", "fractional-k-artifact.json"],
+    # K beyond 2**53: refused before the dataset is read
+    ["optimize", "d3.jsonl", "--k", "100000000000000000000", "--out", "a-k-huge.json"],
+    ["optimize", "d3.jsonl", "--k", "1" + "0" * 400, "--out", "a-k-401.json"],
+    ["apply", "d3.jsonl", "huge-k-artifact.json"],
 ]
 
 

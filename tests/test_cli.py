@@ -2,10 +2,12 @@ import gc
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -786,6 +788,36 @@ class TestDensity:
         result = runner.invoke(main, ["density", opt, "--out", str(out)])
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 1 + 120
+
+    def test_bytes_equal_in_one_and_two_processes(self, runner, tmp_path, monkeypatch):
+        path = _write_dataset(tmp_path, random_dataset(np.random.default_rng(5), 301, 4))
+
+        def density(name):
+            out = tmp_path / name
+            result = runner.invoke(main, ["density", path, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        one = density("one.csv")  # 301 rows, below the fork threshold
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "_FORK_ROWS", 0)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        assert density("two.csv") == one
+        assert len(forks) == 1
+        # a child that fails: its half is formatted again in this process
+        with mock.patch.object(pickle, "dump", lambda *args: os._exit(1)):
+            assert density("failed-child.csv") == one
+        assert len(forks) == 2
+        with mock.patch.object(data, "_usable_cpus", lambda: 1):
+            assert density("one-cpu.csv") == one
+        monkeypatch.delattr(os, "fork")
+        assert density("no-fork.csv") == one
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(one.splitlines()) == 1 + 301
 
     def test_reweighted_values_renormalized(self, runner, small_sets, tmp_path):
         opt, _ = small_sets

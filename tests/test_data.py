@@ -369,6 +369,19 @@ _JSONL_TOKEN_CASES = [(token, slot) for token in _JSONL_TOKENS for slot in (1, 3
 ]
 
 
+# Tokens the CSV bulk parser reads with orjson: brackets, braces and quotes
+# (then a line need not be one row: "0,1,1],[0,1,1" would read as two),
+# "-0" (orjson reads the integer 0,
+# float() -0.0) beside its float forms, JSON literals, an integer beyond 64
+# bits, a number beyond the double range, and tabs; each in every column of a
+# row that sums to 1 when the token reads as its column's usual value.
+_CSV_TOKENS = ["[", "]", "],[", "1],[0,1,1", "{", '"', "-0", "-0.0", "-0e0", "1e-0", "true", "null",
+               str(2**64), "1e400", "\t", "\t1\t", "0\t"]
+_CSV_ROWS = (("0.5", "0.5", "1"), ("0", "1", "1"))
+_CSV_TOKEN_CASES = [(token, column, row) for token in _CSV_TOKENS for column in range(3)
+                    for row in _CSV_ROWS]
+
+
 def _examples(cases):
     """Add each case as an explicit hypothesis example, run on every test run."""
     def wrap(test):
@@ -478,10 +491,12 @@ class TestBulkParsers:
         assert np.frombuffer(outcome[1], dtype=np.int64).tolist() == [i % 2 for i in range(9)]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet='0123456789.eE+-_ \t"xnaifty１٣,', max_size=8),
-           st.integers(0, 2))
-    def test_any_csv_token_matches_the_line_parser(self, tmp_path_factory, token, column):
-        line = ["0.5", "0.5", "1"]
+    @given(st.text(alphabet='0123456789.eE+-_ \t"xnaiftyrul[]{}１٣,', max_size=8),
+           st.integers(0, 2), st.sampled_from(_CSV_ROWS))
+    @_examples(_CSV_TOKEN_CASES)
+    def test_any_csv_token_matches_the_line_parser(self, tmp_path_factory, token, column, row):
+        # the bulk parser reads with orjson, the line parser with csv and float()
+        line = list(row)
         line[column] = token
         path = _write_lines(tmp_path_factory.mktemp("token") / "d.csv",
                             ["0.25,0.75,0", ",".join(line), "1.0,0.0,1"])
@@ -533,14 +548,19 @@ class TestBulkParsers:
         assert _outcome(path, fmt) == (message, line)
 
     @pytest.mark.parametrize(
-        "line",
-        ['"0.25","0.75","1"', "0.2_5,0.7_5,1", "０.25,0.75,１", "0.25,0.75,١"],
-        ids=["quoted", "underscore", "full-width", "arabic-indic"],
+        "line, row",
+        [('"0.25","0.75","1"', [0.25, 0.75]), ("0.2_5,0.7_5,1", [0.25, 0.75]),
+         ("０.25,0.75,１", [0.25, 0.75]), ("0.25,0.75,١", [0.25, 0.75]),
+         (".5,.5,1", [0.5, 0.5]), ("0.5,0.5,+1", [0.5, 0.5]), ("1.,0.,1.", [1.0, 0.0]),
+         ("-0,1,1", [-0.0, 1.0])],
+        ids=["quoted", "underscore", "full-width", "arabic-indic", "leading-dot", "plus",
+             "trailing-dot", "negative-zero"],
     )
-    def test_forms_loadtxt_refuses_still_load(self, tmp_path, line):
-        path = _write_lines(tmp_path / "d.csv", ["0.5,0.5,0", line])
-        ds = load_dataset(path, "csv")
-        assert ds.probs.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    def test_forms_the_bulk_csv_parser_refuses_still_load(self, tmp_path, line, row):
+        lines = ["0.5,0.5,0", line]
+        assert data._csv_block(lines) is None
+        ds = load_dataset(_write_lines(tmp_path / "d.csv", lines), "csv")
+        assert ds.probs.tobytes() == np.array([[0.5, 0.5], row]).tobytes()  # -0.0 keeps its sign
         assert ds.labels.tolist() == [0, 1]
 
 
@@ -728,6 +748,50 @@ class TestTwoProcesses:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert (result.returncode, result.stdout, result.stderr) == (0, "before\n40\n", "")
+
+
+class TestInTwo:
+    """``data._in_two`` runs its second callable in a forked child."""
+
+    @pytest.mark.parametrize("outcome", ["raises", "none"])
+    def test_parent_side_end_kills_the_child(self, forks, outcome):
+        class Interrupted(Exception):
+            pass
+
+        def here():
+            if outcome == "raises":
+                raise Interrupted
+            return None
+
+        # the child would run for a minute; the parent must not wait for it
+        start = time.monotonic()
+        if outcome == "raises":
+            with pytest.raises(Interrupted):
+                data._in_two(here, lambda: time.sleep(60), fork=True)
+        else:
+            assert data._in_two(here, lambda: time.sleep(60), fork=True) == (None, None)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_a_failed_child_runs_again_here(self, forks):
+        parent = os.getpid()
+
+        def there():
+            if os.getpid() != parent:
+                os._exit(1)
+            return "there"
+
+        assert data._in_two(lambda: "here", there, fork=True) == ("here", "there")
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, fork", [(1, True), (2, False)])
+    def test_one_cpu_or_no_fork_runs_both_here(self, forks, monkeypatch, cpus, fork):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        pids = data._in_two(lambda: os.getpid(), lambda: os.getpid(), fork=fork)
+        assert pids == (os.getpid(),) * 2
+        assert forks == []
 
 
 class TestGenerateSynthetic:
