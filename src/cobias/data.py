@@ -133,7 +133,7 @@ class WeightScale:
     def __post_init__(self):
         if self.k_points < 1:
             raise ValidationError(f"k_points must be >= 1, got {self.k_points}")
-        if self.k_points > 2**53:  # so every k and k/K is an exact float64
+        if self.k_points > 2**53:  # so K and every index convert to float64 exactly
             raise ValidationError(f"k_points must be <= 2**53, got {self.k_points}")
 
 
@@ -413,16 +413,6 @@ def _parse_chunked(text: str, parse_block, parse_lines):
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 
-def _number_rows(rows: list) -> bool:
-    """Whether orjson's ``rows`` are lists of one width of numbers. orjson yields
-    exact types, so type sets state the per-line isinstance rules (a bool is no number)."""
-    return (
-        set(map(type, rows)) == {list}
-        and len(set(map(len, rows))) == 1
-        and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
-    )
-
-
 def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse JSONL rows with orjson and whole-chunk checks; None if any line
     fails them. A line orjson refuses and json reads (NaN, Infinity, numbers
@@ -437,7 +427,15 @@ def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
             labels.append(obj["label"])
     except (ValueError, TypeError, KeyError):
         return None
-    if _number_rows(probs) and len(probs[0]) >= 2 and set(map(type, labels)) == {int}:
+    # orjson yields exact int/float/bool, so exact type sets state the
+    # per-line isinstance rules (bool is neither a number nor a label)
+    if (
+        set(map(type, probs)) == {list}
+        and set(map(len, probs)) == {len(probs[0])}
+        and len(probs[0]) >= 2
+        and set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}
+        and set(map(type, labels)) == {int}
+    ):
         try:
             return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64)
         except OverflowError:  # a probability beyond the float range, a label beyond int64
@@ -518,28 +516,32 @@ def _parse_number(token: str, lineno: int, what: str) -> float:
 
 
 def _csv_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse CSV rows as one JSON array of arrays with orjson.
+    """Parse CSV rows as one JSON array with orjson, a row of numbers per line.
 
-    None for a chunk with a bracket, brace or quote (a line need not be one
-    row then), a ``-0`` integer, a token outside JSON's number grammar,
-    unequal widths, or labels that are not integers in the int64 range;
-    ``_parse_csv_lines`` then names the first bad line, or reads the quoted
-    fields and the forms JSON lacks (``.5``, ``+1``, ``1.``, ``inf``, ``1_0``).
+    None for a chunk with a bracket, brace, quote, "l" or "u" (a string,
+    array, object, true, false or null), one orjson refuses, unequal widths,
+    a zero probability that may be an integer ``-0``, or labels that are not
+    integers in the int64 range; ``_parse_csv_lines`` then names the first
+    bad line, or reads quoted fields and the number forms JSON lacks (``.5``,
+    ``+1``, ``1.``, ``inf``, ``1_0``, non-ASCII digits).
     """
     import orjson  # here, not at module import: `cobias --version` need not pay for it
 
     text = "\n".join(lines)
-    # an integer "-0" (not "-0.0" or the exponent of "1e-0"): orjson reads 0, float() -0.0
-    if any(c in text for c in '[]{}"') or re.search(r"-0(?![.eE0-9])(?<![eE]-0)", text):
+    if any(c in text for c in '[]{}"lu'):
         return None
     try:
         rows = orjson.loads("[[" + "],[".join(lines) + "]]")
     except ValueError:
         return None
-    if not (_number_rows(rows) and len(rows[0]) >= 3):
+    if len(set(map(len, rows))) > 1 or len(rows[0]) < 3:
         return None
     table = np.array(rows, dtype=np.float64)
     probs, labels = table[:, :-1], table[:, -1]
+    # orjson reads an integer "-0" as 0 and float() as -0.0 (unlike "-0.0" or
+    # the exponent of "1e-0"), so only a zero probability can have lost a sign
+    if not probs.all() and re.search(r"-0(?![.eE0-9])(?<![eE]-0)", text):
+        return None
     if np.all((labels == np.trunc(labels)) & (labels >= -(2.0**63)) & (labels < 2.0**63)):
         return probs, labels.astype(np.int64)
     return None
