@@ -371,12 +371,12 @@ _JSONL_TOKEN_CASES = [(token, slot) for token in _JSONL_TOKENS for slot in (1, 3
 
 # Tokens the CSV bulk parser reads with orjson: brackets, braces and quotes
 # (then a line need not be one row: "0,1,1],[0,1,1" would read as two),
-# "-0" (orjson reads the integer 0,
-# float() -0.0) beside its float forms, JSON literals, an integer beyond 64
-# bits, a number beyond the double range, and tabs; each in every column of a
-# row that sums to 1 when the token reads as its column's usual value.
-_CSV_TOKENS = ["[", "]", "],[", "1],[0,1,1", "{", '"', "-0", "-0.0", "-0e0", "1e-0", "true", "null",
-               str(2**64), "1e400", "\t", "\t1\t", "0\t"]
+# "-0" (orjson reads the integer 0, float() -0.0) beside its float forms,
+# JSON literals, an integer beyond 64 bits, a number beyond the double range,
+# and tabs; each in every column of a row that sums to 1 when the token reads
+# as its column's usual value.
+_CSV_TOKENS = ["[", "]", "],[", "1],[0,1,1", "{", '"', "-0", "-0.0", "-0e0", "1e-0",
+               "true", "null", str(2**64), "1e400", "\t", "\t1\t", "0\t"]
 _CSV_ROWS = (("0.5", "0.5", "1"), ("0", "1", "1"))
 _CSV_TOKEN_CASES = [(token, column, row) for token in _CSV_TOKENS for column in range(3)
                     for row in _CSV_ROWS]
