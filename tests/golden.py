@@ -177,6 +177,9 @@ CASES = [
     ["optimize", "d3.jsonl", "--k", "100000000000000000000", "--out", "a-k-huge.json"],
     ["optimize", "d3.jsonl", "--k", "1" + "0" * 400, "--out", "a-k-401.json"],
     ["apply", "d3.jsonl", "huge-k-artifact.json"],
+    # sizes below the class count: each size's fallback warning comes before
+    # the warnings of its own anneals, not all of them first
+    ["sweep", "d3.jsonl", "t3.jsonl", "--sizes", "1,2", "--seeds", "0,1", *_REPORTS],
 ]
 
 
