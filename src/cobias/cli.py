@@ -69,15 +69,11 @@ def _handle_errors(func):
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(2)
-        _echo_warnings(caught)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            click.echo(f"warning: {message}", err=True)
         return result
 
     return wrapper
-
-
-def _echo_warnings(caught) -> None:
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        click.echo(f"warning: {message}", err=True)
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -187,6 +183,42 @@ def _search(k_points, beta, tau, mu, tmax, tmin, alpha, lam, max_accepted,
     return scale, config, schedule
 
 
+def _anneals(dataset: ProbabilityDataset, scale: WeightScale,
+             tasks: list[tuple[ObjectiveConfig, AnnealSchedule, int | None]]):
+    """Check every (config, schedule, size) task, then return an iterator of
+    their ``AnnealResult``s that anneals each in turn: on the whole dataset,
+    or on the stratified subset of ``size`` rows that the schedule's seed
+    draws. Checking every size, then each task's chain length and, with the
+    PMI term, mu on its rows before the first anneal means no command stops
+    partway. Each subset is drawn once and kept as row indices; its draw's
+    warnings are replayed as its anneal starts, so they keep their order."""
+    m, n = dataset.num_samples, dataset.num_classes
+    bad = [size for *_, size in tasks if size is not None and not 1 <= size <= m]
+    if bad:
+        raise ValidationError(
+            f"size {bad[0]} outside [1, {m}]: the optimization set has {m} samples")
+    checked = []
+    for config, schedule, size in tasks:
+        predicted_complexity(n, scale.k_points, schedule)  # refuses a chain length that overflows
+        with warnings.catch_warnings(record=True) as drawn:
+            warnings.simplefilter("always")
+            rows = None if size is None else _stratified_subsample(
+                dataset, size, np.random.default_rng(schedule.seed))
+        if config.use_z3:
+            labels = dataset.labels if rows is None else dataset.labels[rows]
+            check_mu(config.mu, np.bincount(labels, minlength=n))
+        checked.append((config, schedule, rows, drawn))
+
+    def run(config, schedule, rows, drawn):
+        for w in drawn:
+            warnings.warn(w.message)
+        subset = dataset if rows is None else ProbabilityDataset.from_arrays(
+            dataset.probs[rows], dataset.labels[rows])
+        return anneal(subset, scale, config, schedule)
+
+    return (run(*task) for task in checked)
+
+
 def _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path) -> None:
     """Print the evaluation report of a dataset, reweighted by the artifact
     when one is given, and write it as JSON when ``json_path`` is set."""
@@ -247,8 +279,15 @@ def _load_with_artifact(
     return dataset, artifact
 
 
+def _print_version(ctx, _param, value) -> None:
+    if value and not ctx.resilient_parsing:  # click's version_option keeps a first call's name
+        click.echo(f"{ctx.find_root().info_name}, version {__version__}")
+        ctx.exit()
+
+
 @click.group()
-@click.version_option(__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_print_version, help="Show the version and exit.")
 def main():
     """Measure class-accuracy imbalance and correct it with learned weights."""
 
@@ -289,32 +328,25 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     """Learn per-class correction weights on a labeled optimization set."""
     scale, config, schedule = _search(**search)
     dataset = _load(optimization_path, fmt, renormalize)
-    # refuses a lambda whose chain length lambda*N*K overflows, before any output
-    bound = predicted_complexity(dataset.num_classes, scale.k_points, schedule)
-
     before = class_report(dataset)
-    # anneal refuses a mu that can leave the PMI not finite, so it runs before any output
-    result = anneal(dataset, scale, config, schedule)
+    [result] = _anneals(dataset, scale, [(config, schedule, None)])  # before any output
     click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
     after = class_report(dataset, result.selection, scale)
     click.echo(f"after:  accuracy {after['overall_accuracy']:.4f}  cobias {after['cobias']:.4f}")
-    parts = ", ".join(
-        f"{name}={v:.6f}"
-        for name, v in (("z1", result.value.z1_error_rate),
-                        ("z2", result.value.z2_cobias),
-                        ("z3", result.value.z3_pmi_sum))
-        if v is not None
-    )
-    click.echo(f"objective: {result.value.total:.6f} ({parts})")
+    value = result.value
+    terms = (value.z1_error_rate, value.z2_cobias, value.z3_pmi_sum)
+    parts = ", ".join(f"z{i}={v:.6f}" for i, v in enumerate(terms, 1) if v is not None)
+    click.echo(f"objective: {value.total:.6f} ({parts})")
     click.echo(f"indices: {list(result.selection.indices)}")
     click.echo(f"coefficients: {[float(c) for c in result.selection.coefficients(scale)]}")
+    bound = predicted_complexity(dataset.num_classes, scale.k_points, schedule)
     click.echo(f"proposals: {result.total_evaluations - 1} (bound {bound})")
 
     artifact = ReweightArtifact(
         scale=scale,
         selection=result.selection,
         objective_config=config,
-        final_objective=result.value.total,
+        final_objective=value.total,
         provenance={
             "seed": schedule.seed,
             "schedule": schedule.to_dict(),
@@ -341,26 +373,15 @@ def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
     # the full z1+z2-z3 config is the strictest, so _search refuses every
     # bad value that any of the seven would
     scale, full, schedule = _search(**search)
-    configs = {
-        key: ObjectiveConfig.with_terms(key, beta=full.beta, tau=full.tau, mu=full.mu)
-        for key in TERM_COMBINATIONS
-    }
+    tasks = [(ObjectiveConfig.with_terms(key, beta=full.beta, tau=full.tau, mu=full.mu),
+              schedule, None) for key in TERM_COMBINATIONS]
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
-    # refuse a mu that can leave the PMI not finite before the z1 and z2 runs
-    check_mu(full.mu, np.bincount(opt_set.labels, minlength=opt_set.num_classes))
     rows = []
-    for key, config in configs.items():
-        result = anneal(opt_set, scale, config, schedule)
+    for key, result in zip(TERM_COMBINATIONS, _anneals(opt_set, scale, tasks)):
         report = class_report(test_set, result.selection, scale)
-        rows.append(
-            {
-                "terms": key,
-                "label": TERM_COMBINATIONS[key][1],
-                "accuracy": report["overall_accuracy"],
-                "cobias": report["cobias"],
-                "indices": list(result.selection.indices),
-            }
-        )
+        rows.append({"terms": key, "label": TERM_COMBINATIONS[key][1],
+                     "accuracy": report["overall_accuracy"], "cobias": report["cobias"],
+                     "indices": list(result.selection.indices)})
     click.echo(f"{'objective':<14} {'accuracy':>9} {'cobias':>9}")
     for row in rows:
         click.echo(f"{row['label']:<14} {row['accuracy']:>9.4f} {row['cobias']:>9.4f}")
@@ -387,42 +408,20 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
     if not size_list or not seed_list:
         raise ValidationError("need at least one size and one seed")
     scale, config, schedule = _search(**search)
-    schedules = {s: dataclasses.replace(schedule, seed=s) for s in seed_list}
+    tasks = [(config, dataclasses.replace(schedule, seed=s), size)
+             for size, s in itertools.product(size_list, seed_list)]
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
-    m = opt_set.num_samples
-    for size in size_list:  # all sizes before the first anneal, so no run stops partway
-        if not 1 <= size <= m:
-            raise ValidationError(
-                f"size {size} outside [1, {m}]: the optimization set has {m} samples"
-            )
-    if config.use_z3:  # refuse a mu that some subset cannot take before the first anneal
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the runs below warn, in their own order
-            for size, s in itertools.product(size_list, seed_list):
-                labels = _stratified_subsample(opt_set, size, np.random.default_rng(s)).labels
-                check_mu(config.mu, np.bincount(labels, minlength=opt_set.num_classes))
+    results = _anneals(opt_set, scale, tasks)
     rows = []
     for size in size_list:
-        accs, cbs = [], []
-        for s in seed_list:
-            subset = _stratified_subsample(opt_set, size, np.random.default_rng(s))
-            result = anneal(subset, scale, config, schedules[s])
-            report = class_report(test_set, result.selection, scale)
-            accs.append(report["overall_accuracy"])
-            cbs.append(report["cobias"])
-        rows.append(
-            {
-                "size": size,
-                "mean_accuracy": float(np.mean(accs)),
-                "std_accuracy": float(np.std(accs)),
-                "mean_cobias": float(np.mean(cbs)),
-                "std_cobias": float(np.std(cbs)),
-                "per_seed": [
-                    {"seed": s, "accuracy": a, "cobias": c}
-                    for s, a, c in zip(seed_list, accs, cbs)
-                ],
-            }
-        )
+        reports = [class_report(test_set, next(results).selection, scale) for _ in seed_list]
+        accs = [report["overall_accuracy"] for report in reports]
+        cbs = [report["cobias"] for report in reports]
+        rows.append({"size": size, "mean_accuracy": float(np.mean(accs)),
+                     "std_accuracy": float(np.std(accs)), "mean_cobias": float(np.mean(cbs)),
+                     "std_cobias": float(np.std(cbs)),
+                     "per_seed": [{"seed": s, "accuracy": a, "cobias": c}
+                                  for s, a, c in zip(seed_list, accs, cbs)]})
     click.echo(f"{'size':>8} {'accuracy':>18} {'cobias':>18}")
     for row in rows:
         acc = f"{row['mean_accuracy']:.4f} ± {row['std_accuracy']:.4f}"
@@ -471,7 +470,7 @@ def compare(optimization_path, test_path, fmt, renormalize, json_path, **search)
     test set; the reweighting is fit on the optimization set only."""
     scale, config, schedule = _search(**search)
     opt_set, test_set = _load_pair(optimization_path, test_path, fmt, renormalize)
-    result = anneal(opt_set, scale, config, schedule)
+    [result] = _anneals(opt_set, scale, [(config, schedule, None)])
     rows = compare_methods(test_set, result.selection, scale)
     click.echo(f"{'method':<18} {'accuracy':>9} {'error':>9} {'cobias':>9} {'cobias_1':>9}")
     for row in rows:

@@ -266,8 +266,9 @@ def generate_synthetic(spec: SyntheticSpec) -> ProbabilityDataset:
 
 def _stratified_subsample(
     dataset: ProbabilityDataset, size: int, rng: np.random.Generator
-) -> ProbabilityDataset:
-    """Label-stratified subsample of the requested size, preserving row order.
+) -> np.ndarray:
+    """Row indices, in increasing order, of a label-stratified subsample of
+    the requested size.
 
     Falls back to a simple random sample (with a warning) when the size
     cannot cover every class present.
@@ -275,8 +276,6 @@ def _stratified_subsample(
     m = dataset.num_samples
     if size > m:
         raise ValidationError(f"requested {size} samples but the set has {m}")
-    if size == m:
-        return dataset
     labels = dataset.labels
     present, counts = np.unique(labels, return_counts=True)
     if size < present.size:
@@ -284,23 +283,21 @@ def _stratified_subsample(
             f"size {size} cannot cover all {present.size} classes; "
             "falling back to a simple random sample"
         )
-        chosen = np.sort(rng.choice(m, size=size, replace=False))
-    else:
-        # One row per class, then a largest-remainder split of the rest: the
-        # floor of each quota, then one more per class with room, by
-        # descending remainder (ties to the lower class), round after round.
-        quotas = (size - present.size) * counts / m
-        alloc = 1 + np.minimum(np.floor(quotas).astype(np.int64), counts - 1)
-        remaining = size - int(alloc.sum())
-        order = np.argsort(np.floor(quotas) - quotas, kind="stable")
-        while remaining > 0:
-            open_classes = order[alloc[order] < counts[order]][:remaining]
-            alloc[open_classes] += 1
-            remaining -= open_classes.size
-        parts = [rng.choice(np.flatnonzero(labels == c), size=a, replace=False)
-                 for c, a in zip(present.tolist(), alloc.tolist())]
-        chosen = np.sort(np.concatenate(parts))
-    return ProbabilityDataset.from_arrays(dataset.probs[chosen], labels[chosen])
+        return np.sort(rng.choice(m, size=size, replace=False))
+    # One row per class, then a largest-remainder split of the rest: the
+    # floor of each quota, then one more per class with room, by
+    # descending remainder (ties to the lower class), round after round.
+    quotas = (size - present.size) * counts / m
+    alloc = 1 + np.minimum(np.floor(quotas).astype(np.int64), counts - 1)
+    remaining = size - int(alloc.sum())
+    order = np.argsort(np.floor(quotas) - quotas, kind="stable")
+    while remaining > 0:
+        open_classes = order[alloc[order] < counts[order]][:remaining]
+        alloc[open_classes] += 1
+        remaining -= open_classes.size
+    parts = [rng.choice(np.flatnonzero(labels == c), size=a, replace=False)
+             for c, a in zip(present.tolist(), alloc.tolist())]
+    return np.sort(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +433,10 @@ def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         and set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}
         and set(map(type, labels)) == {int}
     ):
+        n, width = len(probs), len(probs[0])
         try:
-            return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64)
+            return (np.fromiter(itertools.chain.from_iterable(probs), np.float64, n * width)
+                    .reshape(n, width), np.array(labels, dtype=np.int64))
         except OverflowError:  # a probability beyond the float range, a label beyond int64
             pass
     return None

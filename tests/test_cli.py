@@ -97,8 +97,13 @@ class TestExecutable:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix)
 
+    def test_version_names_the_program_of_each_call(self, runner):
+        for name in ("cobias", "another-name"):
+            result = runner.invoke(main, ["--version"], prog_name=name)
+            assert result.exit_code == 0
+            assert result.stdout == f"{name}, version {cli.__version__}\n"
+
     def test_only_the_executable_freezes_the_heap(self, runner, tmp_path, monkeypatch):
-        # not --version: click's version option keeps the first program name it sees
         args = ["evaluate", str(tmp_path / "missing.jsonl")]
         assert runner.invoke(main, args).exit_code == 2
         assert gc.get_freeze_count() == 0
@@ -744,6 +749,29 @@ class TestSweep:
         # without the PMI term no run reads mu, so the same sweep runs
         result = runner.invoke(main, [*args, "--terms", "z1+z2"])
         assert result.exit_code == 0 and out.exists()
+
+    def test_each_subset_is_drawn_once(self, runner, small_sets, monkeypatch):
+        opt, test = small_sets
+        draws = mock.Mock(wraps=data._stratified_subsample)
+        monkeypatch.setattr(cli, "_stratified_subsample", draws)
+        result = runner.invoke(main, ["sweep", opt, test, "--sizes", "2,30,60",
+                                      "--seeds", "0,1", "--k", "2", "--tmax", "10",
+                                      "--tmin", "1"])
+        assert result.exit_code == 0
+        assert draws.call_count == 3 * 2
+
+    def test_draw_warnings_come_before_their_own_runs(self, runner, small_sets):
+        # sizes 1 and 2 cannot cover 3 classes; each anneal on such a subset
+        # warns about the classes it lacks, so each size's fallback warning
+        # is followed by its runs' warnings before the next size's
+        opt, test = small_sets
+        result = runner.invoke(main, ["sweep", opt, test, "--sizes", "1,2", "--seeds", "0,1",
+                                      "--k", "2", "--tmax", "10", "--tmin", "1"])
+        assert result.exit_code == 0
+        lines = result.stderr.splitlines()
+        fallback = "warning: size {} cannot cover all 3 classes; falling back to a simple random sample"
+        assert lines[0] == fallback.format(1) and lines[-1] == fallback.format(2)
+        assert "warning: classes without true samples excluded from the pairwise accuracy gap" in lines[1:-1]
 
     def test_tiny_size_warns_and_falls_back(self, runner, small_sets):
         opt, test = small_sets

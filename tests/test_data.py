@@ -418,6 +418,20 @@ class TestBulkParsers:
                 assert _outcome(d / name, fmt) == expected
             assert _line_parser_outcome(d / name, fmt) == expected
 
+    def test_jsonl_block_of_ints_and_floats_equals_the_line_parser(self):
+        lines = ['{"probs":[1,0],"label":0}', '{"probs":[0.25,0.75],"label":1}',
+                 '{"probs":[0,1.0],"label":1}', '{"probs":[%d,0.5],"label":0}' % 2**64]
+        probs, labels = data._jsonl_block(lines)
+        rows, expected_labels = data._parse_jsonl_lines(lines)
+        assert probs.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert labels.tolist() == expected_labels
+
+    def test_jsonl_block_refuses_a_probability_beyond_the_double_range(self):
+        # orjson refuses 10**400 itself; json reads it as an exact int, which
+        # no float64 holds, so the block is refused and the line parser runs
+        with mock.patch("orjson.loads", json.loads):
+            assert data._jsonl_block(['{"probs":[%d,0],"label":0}' % 10**400]) is None
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="ab\r\n\x0b\x0c\x1c\x85\u2028\u2029", max_size=30),
            st.integers(1, 8))

@@ -195,8 +195,8 @@ class TestStratifiedSubsampleProperties:
         ds = ProbabilityDataset.from_arrays(np.full((m, 6), 1 / 6), labels)
         present = np.unique(labels)
         for size in range(present.size, m):
-            sub = _stratified_subsample(ds, size, np.random.default_rng(seed))
-            assert np.bincount(sub.labels)[present].tolist() == _reference_allocation(labels, size)
+            rows = _stratified_subsample(ds, size, np.random.default_rng(seed))
+            assert np.bincount(labels[rows])[present].tolist() == _reference_allocation(labels, size)
 
 
 class TestIncrementalProperties:
