@@ -328,8 +328,9 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
     """Learn per-class correction weights on a labeled optimization set."""
     scale, config, schedule = _search(**search)
     dataset = _load(optimization_path, fmt, renormalize)
+    results = _anneals(dataset, scale, [(config, schedule, None)])  # refuses before any work
     before = class_report(dataset)
-    [result] = _anneals(dataset, scale, [(config, schedule, None)])  # before any output
+    [result] = results
     click.echo(f"before: accuracy {before['overall_accuracy']:.4f}  cobias {before['cobias']:.4f}")
     after = class_report(dataset, result.selection, scale)
     click.echo(f"after:  accuracy {after['overall_accuracy']:.4f}  cobias {after['cobias']:.4f}")
