@@ -34,10 +34,9 @@ from .metrics import (
     cobias_single,
     confusion,
     odd_classes,
-    predict_dataset,
     report_document,
 )
-from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue, evaluate
+from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue
 from .oracle import enumerate_optimum
 
 __all__ = [
@@ -62,13 +61,11 @@ __all__ = [
     "compare_methods",
     "confusion",
     "enumerate_optimum",
-    "evaluate",
     "generate_synthetic",
     "load_artifact",
     "load_dataset",
     "odd_classes",
     "predicted_complexity",
-    "predict_dataset",
     "report_document",
     "save_artifact",
     "save_dataset",

@@ -268,14 +268,12 @@ def _stratified_subsample(
     dataset: ProbabilityDataset, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Row indices, in increasing order, of a label-stratified subsample of
-    the requested size.
+    ``size`` rows, for 1 <= size <= M (``cli._anneals`` refuses other sizes).
 
     Falls back to a simple random sample (with a warning) when the size
     cannot cover every class present.
     """
     m = dataset.num_samples
-    if size > m:
-        raise ValidationError(f"requested {size} samples but the set has {m}")
     labels = dataset.labels
     present, counts = np.unique(labels, return_counts=True)
     if size < present.size:
@@ -323,11 +321,11 @@ def _chunk_lines(text: str, start: int = 0, stop: int | None = None):
 
 def _parse_blocks(text: str, parse_block, start: int, stop: int):
     """The (probs, labels) blocks of the chunks of ``text[start:stop]`` in
-    order, or None once a chunk is refused or changes the width."""
+    order, or None once a chunk is refused."""
     blocks = []
     for lines in _chunk_lines(text, start, stop):
         block = parse_block(lines)
-        if block is None or (blocks and block[0].shape[1] != blocks[0][0].shape[1]):
+        if block is None:
             return None
         blocks.append(block)
     return blocks

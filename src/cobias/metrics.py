@@ -1,4 +1,4 @@
-"""Prediction, confusion, and class-accuracy imbalance metrics.
+"""Confusion counts and class-accuracy imbalance metrics.
 
 Every metric is a function of the N x N confusion counts (``counts[i][j]``
 samples of true class i predicted as j): ``confusion`` returns them as a
@@ -34,21 +34,6 @@ from .errors import ValidationError
 DEFAULT_MU = 1e-3
 
 
-def predict_dataset(
-    dataset: ProbabilityDataset,
-    selection: WeightSelection | None = None,
-    scale: WeightScale | None = None,
-) -> np.ndarray:
-    """Predicted class per sample, lowest-index tie-break."""
-    scores = dataset.probs
-    if selection is not None:
-        if scale is None:
-            raise ValidationError("a weight selection requires its scale")
-        selection.validate(dataset.num_classes, scale)
-        scores = scores * selection.coefficients(scale)
-    return np.argmax(scores, axis=1)
-
-
 def counts_from_predictions(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
     flat = labels * num_classes + predictions
     return np.bincount(flat, minlength=num_classes**2).reshape(num_classes, num_classes)
@@ -60,8 +45,14 @@ def confusion(
     scale: WeightScale | None = None,
 ) -> np.ndarray:
     """Read-only confusion counts of the dataset under (optionally
-    reweighted) argmax."""
-    preds = predict_dataset(dataset, selection, scale)
+    reweighted) argmax, ties to the lowest class index."""
+    scores = dataset.probs
+    if selection is not None:
+        if scale is None:
+            raise ValidationError("a weight selection requires its scale")
+        selection.validate(dataset.num_classes, scale)
+        scores = scores * selection.coefficients(scale)
+    preds = np.argmax(scores, axis=1)
     return readonly_array(counts_from_predictions(dataset.labels, preds, dataset.num_classes))
 
 

@@ -16,11 +16,12 @@ true-class totals M_i, so everything built from the totals and the config
 alone is computed once per dataset by ``_Objective``, which also issues the
 "classes without true samples" warning once. It scores one counts matrix or
 a stack of them with the same float operations, and its arithmetic is the
-metrics module's. Two evaluators build on it and agree bit-for-bit with a
-full evaluation: ``objective_table`` scores all K^N selections by a
-threshold sweep (the oracle's search, and the annealer's when that is
-cheaper than its chain), and ``IncrementalEvaluator`` scores one move at a
-time. They share no code, so each cross-checks the other.
+metrics module's. Two evaluators build on it and agree bit for bit with the
+reference ``objective_from_counts(confusion(...), config)``:
+``objective_table`` scores all K^N selections by a threshold sweep (the
+oracle's search, and the annealer's when that is cheaper than its chain),
+and ``IncrementalEvaluator`` scores one move at a time. They share no code,
+so each cross-checks the other.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .metrics import (
     _pairwise_gap,
     _pmi,
     check_mu,
-    confusion,
     counts_from_predictions,
 )
 
@@ -176,16 +176,6 @@ def objective_from_counts(counts: np.ndarray, config: ObjectiveConfig) -> Object
     return _Objective(counts.sum(axis=1), config)(counts)
 
 
-def evaluate(
-    dataset: ProbabilityDataset,
-    selection: WeightSelection,
-    scale: WeightScale,
-    config: ObjectiveConfig,
-) -> ObjectiveValue:
-    """Full objective evaluation for one selection."""
-    return objective_from_counts(confusion(dataset, selection, scale), config)
-
-
 # Bytes of row-sized temporaries, summed over one chunk of prefixes, that
 # ``objective_table`` aims for.
 _TABLE_CHUNK_BYTES = 1 << 20
@@ -209,7 +199,7 @@ def objective_table(
     bincount over (label, prediction, count) and a cumulative sum over the
     count give the prefix's K confusion matrices at once. Every score is the
     product ``p * (index / K)`` that ``confusion`` forms, so each matrix
-    equals its ``confusion`` counts and each value its ``evaluate``.
+    equals its ``confusion`` counts and each value the reference's.
 
     Prefixes go in chunks whose temporaries stay near ``_TABLE_CHUNK_BYTES``;
     each chunk's matrices are scored as one stack as soon as they are built,
@@ -300,7 +290,6 @@ class IncrementalEvaluator:
         selection.validate(dataset.num_classes, scale)
         self.dataset = dataset
         self.scale = scale
-        self.config = config
         n = dataset.num_classes
         self._indices = np.asarray(selection.indices, dtype=np.int64)
         self._probs_t = np.ascontiguousarray(dataset.probs.T)
@@ -310,10 +299,6 @@ class IncrementalEvaluator:
         self._objective = _Objective(self._counts.sum(axis=1), config)
         self._value = self._objective(self._counts)
         self._pending = None
-
-    @property
-    def selection(self) -> WeightSelection:
-        return WeightSelection(tuple(int(i) for i in self._indices))
 
     @property
     def value(self) -> ObjectiveValue:

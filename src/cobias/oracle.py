@@ -25,21 +25,20 @@ def enumerate_optimum(
     dataset: ProbabilityDataset,
     scale: WeightScale,
     config: ObjectiveConfig,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[WeightSelection, ObjectiveValue]:
     """Evaluate every selection and return the global minimum.
 
-    Refuses instances with K^N above ``budget``; the refusal message carries
-    the exact selection count so callers can raise the cap deliberately.
+    Refuses instances with K^N above ``DEFAULT_BUDGET``, before the table is
+    built; the refusal message carries the exact selection count.
     The first minimum in ``itertools.product`` order is the smallest
     selection; its value is evaluated again from its confusion counts.
     """
     n = dataset.num_classes
     k = scale.k_points
     count = k**n
-    if count > budget:
+    if count > DEFAULT_BUDGET:
         raise ValidationError(
-            f"enumeration would evaluate {count} selections, above the budget of {budget}"
+            f"enumeration would evaluate {count} selections, above the budget of {DEFAULT_BUDGET}"
         )
     table = objective_table(dataset, scale, config)
     best = int(np.argmin(table.total))

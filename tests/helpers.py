@@ -1,8 +1,10 @@
-"""Shared test fixtures: reference confusion counts and dataset builders."""
+"""Shared test fixtures: reference confusion counts, dataset builders and
+the reference objective evaluation."""
 
 import numpy as np
 
-from cobias import ProbabilityDataset, SyntheticSpec
+from cobias import ProbabilityDataset, SyntheticSpec, confusion
+from cobias.objective import objective_from_counts
 
 # 4-class news-topic confusion matrix used as the reference imbalanced
 # instance throughout the suite: class 2 is heavily over-predicted and
@@ -79,3 +81,10 @@ def random_dataset(rng: np.random.Generator, m: int, n: int) -> ProbabilityDatas
     probs = rng.dirichlet(np.ones(n), size=m)
     labels = rng.integers(0, n, size=m)
     return ProbabilityDataset.from_arrays(probs, labels)
+
+
+def reference_evaluation(dataset, selection, scale, config):
+    """The objective of one selection by the full reference path: the
+    reweighted argmax's confusion counts, then ``objective_from_counts``.
+    The incremental and table evaluators must match it bit for bit."""
+    return objective_from_counts(confusion(dataset, selection, scale), config)

@@ -18,7 +18,7 @@ from cobias import annealer
 from cobias.annealer import _draw_move, _tabulates
 from cobias.objective import TERM_COMBINATIONS
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_evaluation
 
 
 class TestSchedule:
@@ -220,12 +220,10 @@ class TestAnneal:
         assert result.selection.indices == (4, 4)
 
     def test_returned_value_matches_returned_selection(self):
-        from cobias import evaluate
-
         ds, scale = self._instance(seed=13)
         cfg = ObjectiveConfig()
         result = anneal(ds, scale, cfg, AnnealSchedule(seed=2))
-        assert result.value.total == evaluate(ds, result.selection, scale, cfg).total
+        assert result.value.total == reference_evaluation(ds, result.selection, scale, cfg).total
 
     @pytest.mark.parametrize("k", [4, 1])
     def test_optimize_trace_lines_are_the_records(self, tmp_path, k):

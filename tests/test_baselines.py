@@ -9,7 +9,7 @@ from cobias import (
     batch_calibrate,
     class_report,
     compare_methods,
-    predict_dataset,
+    confusion,
 )
 
 from helpers import biased_synthetic_pair, random_dataset
@@ -22,7 +22,7 @@ class TestBatchCalibrate:
         ds = ProbabilityDataset.from_arrays([[0.9, 0.1], [0.7, 0.3]], [0, 1])
         predictions = batch_calibrate(ds)
         assert predictions.tolist() == [0, 1]
-        assert predict_dataset(ds).tolist() == [0, 0]
+        assert confusion(ds).tolist() == [[1, 0], [1, 0]]  # plain argmax predicts [0, 0]
         assert not predictions.flags.writeable
 
     def test_identical_samples_tie_break_to_zero(self):
@@ -34,8 +34,9 @@ class TestBatchCalibrate:
         ds = ProbabilityDataset.from_arrays(
             [[0.9, 0.1], [0.1, 0.9], [0.3, 0.7], [0.7, 0.3]], [0, 1, 1, 0]
         )
-        # prior [0.5, 0.5]
-        assert batch_calibrate(ds).tolist() == predict_dataset(ds).tolist()
+        # prior [0.5, 0.5]; plain argmax predicts the labels, [0, 1, 1, 0]
+        assert confusion(ds).tolist() == [[2, 0], [0, 2]]
+        assert batch_calibrate(ds).tolist() == [0, 1, 1, 0]
 
     def test_invariant_to_sample_order(self):
         rng = np.random.default_rng(8)

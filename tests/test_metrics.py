@@ -15,7 +15,6 @@ from cobias import (
     cobias_single,
     confusion,
     odd_classes,
-    predict_dataset,
 )
 from cobias.metrics import accuracy_from_counts, check_mu, pmi_from_counts, report_document
 
@@ -23,7 +22,8 @@ from helpers import REFERENCE_COUNTS, REFERENCE_ROW_TOTALS, dataset_from_confusi
 
 
 def _row(probs) -> ProbabilityDataset:
-    """One-sample dataset holding a single probability vector."""
+    """One-sample dataset holding a single probability vector, labeled 0, so
+    row 0 of its confusion counts is the one-hot prediction."""
     return ProbabilityDataset.from_arrays([probs], [0])
 
 
@@ -33,24 +33,24 @@ class TestPredict:
         scale = WeightScale(5)
         sel = WeightSelection((2, 5, 5))
         assert sel.coefficients(scale).tolist() == [0.4, 1.0, 1.0]
-        assert predict_dataset(_row([0.5, 0.3, 0.2]), sel, scale).tolist() == [1]
+        assert confusion(_row([0.5, 0.3, 0.2]), sel, scale)[0].tolist() == [0, 1, 0]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict_dataset(_row([0.5, 0.5])).tolist() == [0]
+        assert confusion(_row([0.5, 0.5]))[0].tolist() == [1, 0]
 
     def test_identity_is_plain_argmax(self):
-        assert predict_dataset(_row([0.1, 0.9])).tolist() == [1]
+        assert confusion(_row([0.1, 0.9]))[0].tolist() == [0, 1]
 
     def test_scaling_coefficients_preserves_argmax(self):
         # equal coefficients at any scale position keep the identity argmax
         for k, idx in ((2, 1), (2, 2), (10, 3)):
             scale = WeightScale(k)
             sel = WeightSelection((idx, idx))
-            assert predict_dataset(_row([0.1, 0.9]), sel, scale).tolist() == [1]
+            assert confusion(_row([0.1, 0.9]), sel, scale)[0].tolist() == [0, 1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            predict_dataset(_row([0.5, 0.5]), WeightSelection((1, 1, 1)), WeightScale(2))
+            confusion(_row([0.5, 0.5]), WeightSelection((1, 1, 1)), WeightScale(2))
 
 
 class TestConfusion:
@@ -301,7 +301,6 @@ class TestReports:
         ds = ProbabilityDataset.from_arrays([[0.5, 0.3, 0.2]], [1])
         scale = WeightScale(5)
         sel = WeightSelection((2, 5, 5))
-        preds = predict_dataset(ds, sel, scale)
-        assert preds.tolist() == [1]
+        assert confusion(ds, sel, scale).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
         report = class_report(ds, sel, scale)
         assert report["overall_accuracy"] == 1.0

@@ -1,5 +1,6 @@
 import warnings
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from cobias import (
     WeightScale,
     WeightSelection,
     enumerate_optimum,
-    evaluate,
 )
 
+from cobias import oracle
 from cobias.objective import TERM_COMBINATIONS
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_evaluation
 
 
 class TestEnumerateOptimum:
@@ -27,7 +28,7 @@ class TestEnumerateOptimum:
         cfg = ObjectiveConfig()
         sel, val = enumerate_optimum(ds, scale, cfg)
         totals = {
-            s: evaluate(ds, WeightSelection(s), scale, cfg).total
+            s: reference_evaluation(ds, WeightSelection(s), scale, cfg).total
             for s in product((1, 2), repeat=2)
         }
         assert len(totals) == 4
@@ -54,11 +55,15 @@ class TestEnumerateOptimum:
         assert val.total == 0.0
         assert sel.indices == (1, 1)
 
-    def test_budget_refusal_reports_count(self):
+    def test_budget_refusal_reports_count(self, monkeypatch):
+        # 1001^2 selections is just above the fixed budget of 10^6, and the
+        # refusal comes before any table is built
         rng = np.random.default_rng(1)
-        ds = random_dataset(rng, 10, 3)
-        with pytest.raises(ValidationError, match="64"):
-            enumerate_optimum(ds, WeightScale(4), ObjectiveConfig(), budget=63)
+        ds = random_dataset(rng, 10, 2)
+        monkeypatch.setattr(oracle, "objective_table", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValidationError, match="evaluate 1002001 selections.* 1000000$"):
+            enumerate_optimum(ds, WeightScale(1001), ObjectiveConfig())
+        oracle.objective_table.assert_not_called()
 
     @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
     def test_matches_the_per_selection_loop(self, terms):
@@ -75,7 +80,7 @@ class TestEnumerateOptimum:
                 scale = WeightScale(k)
                 best_sel = best_val = None
                 for sel in product(range(1, k + 1), repeat=n):
-                    val = evaluate(ds, WeightSelection(sel), scale, cfg)
+                    val = reference_evaluation(ds, WeightSelection(sel), scale, cfg)
                     if best_val is None or val.total < best_val.total:
                         best_sel, best_val = sel, val
                 sel, val = enumerate_optimum(ds, scale, cfg)
@@ -90,4 +95,4 @@ class TestEnumerateOptimum:
         _, best = enumerate_optimum(ds, scale, cfg)
         for _ in range(200):
             sel = WeightSelection(tuple(rng.integers(1, 5, size=3)))
-            assert evaluate(ds, sel, scale, cfg).total >= best.total
+            assert reference_evaluation(ds, sel, scale, cfg).total >= best.total
