@@ -12,8 +12,8 @@ the ``--json`` reports, tabulated search spaces (N=2-4 at K=10, N=2-3 at
 K=30) and an incremental one (N=10, K=30), one case per error class,
 `--mu` values that leave the smoothed PMI not finite, a dataset line nested
 too deeply for ``json``, an artifact whose K is not an integer, and a K
-beyond 2**53 given as a flag or read from an artifact.
-No case passes ``--timestamp``, whose output depends on the clock.
+beyond 2**53 given as a flag or read from an artifact, and the ``--help`` of
+the group and of every command. No case passes ``--timestamp``, whose output depends on the clock.
 
 After a change of output that is meant, rewrite the manifest with
 
@@ -180,6 +180,10 @@ CASES = [
     # sizes below the class count: each size's fallback warning comes before
     # the warnings of its own anneals, not all of them first
     ["sweep", "d3.jsonl", "t3.jsonl", "--sizes", "1,2", "--seeds", "0,1", *_REPORTS],
+    # the group's and every command's help
+    ["--help"],
+    *([command, "--help"] for command in ["evaluate", "apply", "optimize", "ablate", "sweep",
+                                          "density", "compare", "generate"]),
 ]
 
 

@@ -57,12 +57,12 @@ class TestExecutable:
     through ``CliRunner`` never reach."""
 
     @staticmethod
-    def _run(args, cwd):
+    def _run(args, cwd, stdout=subprocess.PIPE):
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "cobias.cli", *args], cwd=cwd, env=env,
-                              capture_output=True, text=True)
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
 
     def test_version_exits_0(self, tmp_path):
         result = self._run(["--version"], tmp_path)
@@ -96,6 +96,21 @@ class TestExecutable:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix)
+
+    @pytest.mark.parametrize("args, code, stderr", [
+        # click's own handler: --help is written before any command runs
+        (["optimize", "--help"], 1, ""),
+        (["evaluate", "d.jsonl"], 2, "i/o error: [Errno 32] Broken pipe\n"),
+    ])
+    def test_a_closed_stdout_pipe(self, tmp_path, args, code, stderr):
+        (tmp_path / "d.jsonl").write_text('{"probs":[0.6,0.4],"label":0}\n')
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self._run(args, tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (code, stderr)
 
     def test_version_names_the_program_of_each_call(self, runner):
         for name in ("cobias", "another-name"):
