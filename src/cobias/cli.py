@@ -10,7 +10,6 @@ errors, and 2 for I/O errors.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import gc
 import itertools
 import json
@@ -49,20 +48,19 @@ DEFAULT_TERMS = "z1+z2-z3"
 _FORK_ROWS = 10_000  # density's break-even: 16 ms in one or two processes on a 2-CPU Xeon
 
 
-def _handle_errors(func):
-    """Map errors to exit codes and echo warnings as ``warning:`` lines.
+class _Command(click.Command):
+    """A command whose errors become exit codes and one-line messages.
 
-    Warnings raised during the command are collected and echoed once per
-    distinct message after it finishes; an error ends the command with one
-    ``error:`` line instead.
-    """
+    Warnings raised while it runs are echoed once per distinct message, as
+    ``warning:`` lines, after it finishes; an error ends it with one
+    ``error:`` line instead. Click's parsing and ``--help`` run before
+    ``invoke`` and keep click's own handling."""
 
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = func(*args, **kwargs)
+                result = super().invoke(ctx)
         except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -72,8 +70,6 @@ def _handle_errors(func):
         for message in dict.fromkeys(str(w.message) for w in caught):
             click.echo(f"warning: {message}", err=True)
         return result
-
-    return wrapper
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -292,12 +288,14 @@ def main():
     """Measure class-accuracy imbalance and correct it with learned weights."""
 
 
+main.command_class = _Command  # so each @main.command() below, and any added later, is one
+
+
 @main.command()
 @click.argument("dataset_path", type=click.Path())
 @click.option("--artifact", "artifact_path", type=click.Path(), default=None,
               help="Apply a learned reweighting before computing metrics.")
 @_add_options(_report_options)
-@_handle_errors
 def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Report confusion matrix, accuracies, imbalance metrics, and PMI."""
     _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path)
@@ -307,7 +305,6 @@ def evaluate(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
 @click.argument("dataset_path", type=click.Path())
 @click.argument("artifact_path", type=click.Path())
 @_add_options(_report_options)
-@_handle_errors
 def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
     """Reweight a dataset with a learned artifact and report the metrics."""
     _report(dataset_path, artifact_path, fmt, renormalize, mu, json_path)
@@ -323,7 +320,6 @@ def apply(dataset_path, artifact_path, fmt, renormalize, mu, json_path):
               help="Record the wall-clock time in the artifact; off by default "
                    "so identical runs produce identical files.")
 @_search_options()
-@_handle_errors
 def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormalize, **search):
     """Learn per-class correction weights on a labeled optimization set."""
     scale, config, schedule = _search(**search)
@@ -367,7 +363,6 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
 @click.argument("test_path", type=click.Path())
 @_search_options("terms")
 @_rows_json_option
-@_handle_errors
 def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
     """Optimize each of the seven objective-term combinations and report
     test accuracy and imbalance per row."""
@@ -397,7 +392,6 @@ def ablate(optimization_path, test_path, fmt, renormalize, json_path, **search):
               help="Comma-separated seeds; one optimization run per (size, seed).")
 @_search_options("seed")
 @_rows_json_option
-@_handle_errors
 def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_path, **search):
     """Optimize on stratified subsets of increasing size and report test
     accuracy and imbalance as mean and standard deviation over seeds."""
@@ -440,7 +434,6 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
 @click.option("--raw", is_flag=True,
               help="Export raw weighted scores instead of renormalized probabilities.")
 @_add_options(_dataset_options)
-@_handle_errors
 def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     """Export each sample's (optionally reweighted) ground-truth-class
     probability as plot-ready long-format rows."""
@@ -465,7 +458,6 @@ def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
 @click.argument("test_path", type=click.Path())
 @_search_options()
 @_rows_json_option
-@_handle_errors
 def compare(optimization_path, test_path, fmt, renormalize, json_path, **search):
     """Compare identity, batch calibration, and learned reweighting on the
     test set; the reweighting is fit on the optimization set only."""
@@ -489,7 +481,6 @@ def compare(optimization_path, test_path, fmt, renormalize, json_path, **search)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(DATASET_FORMATS), default=None,
               help="Output format; inferred from the extension by default.")
-@_handle_errors
 def generate(spec_path, out_path, fmt):
     """Generate a synthetic biased dataset from a spec file."""
     spec = SyntheticSpec.from_dict(read_json(spec_path, "spec file"))

@@ -20,8 +20,9 @@ metrics module's. Two evaluators build on it and agree bit for bit with the
 reference ``objective_from_counts(confusion(...), config)``:
 ``objective_table`` scores all K^N selections by a threshold sweep (the
 oracle's search, and the annealer's when that is cheaper than its chain),
-and ``IncrementalEvaluator`` scores one move at a time. They share no code,
-so each cross-checks the other.
+and ``IncrementalEvaluator`` scores one move at a time. Both predict through
+``_argmax``, so neither checks the other's tie rule: the independent check
+of each is the reference, whose ``confusion`` runs ``np.argmax``.
 """
 
 from __future__ import annotations
@@ -176,6 +177,21 @@ def objective_from_counts(counts: np.ndarray, config: ObjectiveConfig) -> Object
     return _Objective(counts.sum(axis=1), config)(counts)
 
 
+def _argmax(probs_t: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the class-major ``probs_t``, the argmax and maximum of
+    ``probs_t[j] * weights[j]`` over classes ``j < len(weights)``; a weight
+    may be a column, one entry per weight vector. One class at a time, so no
+    rows x N block is built; the strict ">" keeps the lowest index on ties,
+    as ``np.argmax`` does."""
+    best = probs_t[0] * weights[0]
+    preds = np.zeros(best.shape, dtype=np.int64)
+    for j in range(1, len(weights)):
+        col = probs_t[j] * weights[j]
+        preds[col > best] = j
+        np.maximum(best, col, out=best)
+    return preds, best
+
+
 # Bytes of row-sized temporaries, summed over one chunk of prefixes, that
 # ``objective_table`` aims for.
 _TABLE_CHUNK_BYTES = 1 << 20
@@ -203,8 +219,7 @@ def objective_table(
 
     Prefixes go in chunks whose temporaries stay near ``_TABLE_CHUNK_BYTES``;
     each chunk's matrices are scored as one stack as soon as they are built,
-    so the K^N matrices never exist at once. The table shares no code with
-    ``IncrementalEvaluator``, which it cross-checks.
+    so the K^N matrices never exist at once.
     """
     n, k, m = dataset.num_classes, scale.k_points, dataset.num_samples
     probs_t = np.ascontiguousarray(dataset.probs.T)
@@ -220,12 +235,7 @@ def objective_table(
         size = min(chunk, prefixes - start)
         digits = np.unravel_index(np.arange(start, start + size), (k,) * (n - 1))
         weights = [((d + 1) / k)[:, None] for d in digits]
-        best = probs_t[0] * weights[0]
-        preds = np.zeros(best.shape, dtype=np.int64)
-        for j in range(1, n - 1):
-            col = probs_t[j] * weights[j]
-            preds[col > best] = j
-            np.maximum(best, col, out=best)
+        preds, best = _argmax(probs_t, weights)
         below = np.zeros(best.shape, dtype=np.int64)
         for w in points:
             below += probs_t[-1] * w <= best
@@ -294,7 +304,7 @@ class IncrementalEvaluator:
         self._indices = np.asarray(selection.indices, dtype=np.int64)
         self._probs_t = np.ascontiguousarray(dataset.probs.T)
         self._label_base = dataset.labels * n
-        self._preds, self._row_max = self._argmax(self._indices / scale.k_points)
+        self._preds, self._row_max = _argmax(self._probs_t, self._indices / scale.k_points)
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._objective = _Objective(self._counts.sum(axis=1), config)
         self._value = self._objective(self._counts)
@@ -313,22 +323,6 @@ class IncrementalEvaluator:
             raise ValidationError(
                 f"scale index {new_index} outside [1, {self.scale.k_points}]"
             )
-
-    def _argmax(self, weights: np.ndarray, rows: np.ndarray | None = None):
-        """Argmax and maximum of ``probs[rows] * weights`` along each row.
-
-        Reduces one class at a time over the class-major copy, so no
-        rows x N score block is built; the strict ">" keeps the lowest index
-        on ties, as ``np.argmax`` does.
-        """
-        probs_t = self._probs_t if rows is None else np.take(self._probs_t, rows, axis=1)
-        preds = np.zeros(probs_t.shape[1], dtype=np.int64)
-        best = probs_t[0] * weights[0]
-        for j in range(1, weights.size):
-            col = probs_t[j] * weights[j]
-            preds[col > best] = j
-            np.maximum(best, col, out=best)
-        return preds, best
 
     def propose(self, class_index: int, new_index: int) -> float:
         """Objective total with one class's weight changed; state untouched.
@@ -350,7 +344,7 @@ class IncrementalEvaluator:
             changed, old, new = cand[flip], old[flip], c
         else:
             rows = np.flatnonzero(self._preds == c)
-            new_preds, new_max = self._argmax(weights, rows)
+            new_preds, new_max = _argmax(np.take(self._probs_t, rows, axis=1), weights)
             flip = new_preds != c
             changed, old, new = rows[flip], c, new_preds[flip]
         if changed.size:

@@ -3,7 +3,7 @@
 Exponential but exact; used as the ground-truth optimizer when validating the
 annealer on small instances. The whole search space is scored by
 ``objective.objective_table``, a threshold sweep over chunks of index
-prefixes that shares no code with the annealer's incremental evaluator. The
+prefixes whose values equal the reference evaluation's bit for bit. The
 lexicographically smallest selection among those attaining the minimum is
 returned, which makes the result canonical and independent of enumeration
 order.

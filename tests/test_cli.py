@@ -112,6 +112,10 @@ class TestExecutable:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (code, stderr)
 
+    def test_every_command_has_the_error_boundary(self):
+        # the group's command_class, so a command added later gets it too
+        assert main.commands and all(type(c) is cli._Command for c in main.commands.values())
+
     def test_version_names_the_program_of_each_call(self, runner):
         for name in ("cobias", "another-name"):
             result = runner.invoke(main, ["--version"], prog_name=name)
