@@ -41,7 +41,7 @@ from .data import (
 )
 from .errors import ValidationError
 from .metrics import DEFAULT_MU, check_mu, class_report, report_document
-from .objective import DEFAULT_BETA, DEFAULT_TAU, TERM_COMBINATIONS, ObjectiveConfig
+from .objective import DEFAULT_BETA, DEFAULT_TAU, TERM_COMBINATIONS, ObjectiveConfig, check_config
 
 DEFAULT_K = 30
 DEFAULT_TERMS = "z1+z2-z3"
@@ -182,10 +182,10 @@ def _search(k_points, beta, tau, mu, tmax, tmin, alpha, lam, max_accepted,
 def _anneals(dataset: ProbabilityDataset, scale: WeightScale,
              tasks: list[tuple[ObjectiveConfig, AnnealSchedule, int | None]]):
     """Check every (config, schedule, size) task, then return an iterator of
-    their ``AnnealResult``s that anneals each in turn: on the whole dataset,
-    or on the stratified subset of ``size`` rows that the schedule's seed
-    draws. Checking every size, then each task's chain length and, with the
-    PMI term, mu on its rows before the first anneal means no command stops
+    their ``AnnealResult``s that anneals each in turn: on the whole dataset, or
+    on the stratified subset of ``size`` rows that the schedule's seed draws.
+    Checking every size, then each task's chain length and, with the PMI term,
+    ``check_config`` on its rows before the first anneal means no command stops
     partway. Each subset is drawn once and kept as row indices; its draw's
     warnings are replayed as its anneal starts, so they keep their order."""
     m, n = dataset.num_samples, dataset.num_classes
@@ -200,9 +200,8 @@ def _anneals(dataset: ProbabilityDataset, scale: WeightScale,
             warnings.simplefilter("always")
             rows = None if size is None else _stratified_subsample(
                 dataset, size, np.random.default_rng(schedule.seed))
-        if config.use_z3:
-            labels = dataset.labels if rows is None else dataset.labels[rows]
-            check_mu(config.mu, np.bincount(labels, minlength=n))
+        labels = dataset.labels if rows is None else dataset.labels[rows]
+        check_config(config, np.bincount(labels, minlength=n))
         checked.append((config, schedule, rows, drawn))
 
     def run(config, schedule, rows, drawn):

@@ -136,14 +136,15 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
     return float(sum(gaps) / len(gaps)) if gaps else 0.0
 
 
-def check_mu(mu: float, class_totals: np.ndarray | None = None) -> None:
+def check_mu(mu: float, class_totals: np.ndarray | None = None) -> float | None:
     """Refuse a PMI smoothing that is negative or not finite and, given the
     true-class totals, one that leaves the PMI of some counts with those
     totals not finite. The PMI is monotone in the joint and predicted counts,
     so it is checked at the corners of their range per class of total t:
     (joint, pred) = (0, 0), (0, M - t), (t, t), (t, M). A huge mu overflows a
     product; a tiny one underflows ``mu * mu``, the denominator of a class
-    without true samples or predictions."""
+    without true samples or predictions. Given the totals, returns a bound on
+    |z3| over those counts: the sum of each class's largest |PMI| there."""
     if not 0 <= mu < np.inf:
         raise ValidationError(f"mu must be finite and nonnegative, got {mu}")
     if class_totals is not None:
@@ -153,6 +154,7 @@ def check_mu(mu: float, class_totals: np.ndarray | None = None) -> None:
             corners = _pmi(np.stack([zero, zero, t, t]), np.stack([zero, m - t, t, zero + m]),
                            t + mu, m + mu * t.size, mu)
         _refuse_nonfinite(corners, mu, " for some confusion counts on this dataset")
+        return float(np.abs(corners).max(axis=0).sum())
 
 
 def _refuse_nonfinite(pmi: np.ndarray, mu: float, where: str = "") -> None:

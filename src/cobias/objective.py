@@ -118,6 +118,18 @@ class ObjectiveValue:
     total: float
 
 
+def check_config(config: ObjectiveConfig, true_totals: np.ndarray) -> None:
+    """With z3, refuse a mu that leaves the PMI of some counts with these
+    true-class totals not finite, and a beta and tau that can overflow
+    z1 + beta*z2 - tau*z3: z1 and z2 lie in [0, 1], ``check_mu`` bounds |z3|."""
+    if config.use_z3:
+        z3_max = check_mu(config.mu, true_totals)
+        if not math.isfinite(config.use_z1 + config.use_z2 * config.beta + config.tau * z3_max):
+            beta = f" and beta={config.beta:g}" if config.use_z2 else ""
+            raise ValidationError(f"tau={config.tau:g}{beta} can overflow the objective on "
+                                  f"this dataset, where |z3| may reach {z3_max:g}")
+
+
 class _Objective:
     """Counts-to-value map for one dataset's true-class totals and one config.
 
@@ -132,8 +144,7 @@ class _Objective:
     """
 
     def __init__(self, true_totals: np.ndarray, config: ObjectiveConfig):
-        if config.use_z3:  # so no counts with these totals give a value that is not finite
-            check_mu(config.mu, true_totals)
+        check_config(config, true_totals)  # so no counts with these totals give a non-finite value
         self.config = config
         self._m = int(true_totals.sum())
         self._present = np.flatnonzero(true_totals > 0)

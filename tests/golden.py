@@ -10,10 +10,11 @@ writes; ``test_golden.py`` reruns the cases and compares.
 The cases cover every command, both dataset formats, ``optimize --trace``,
 the ``--json`` reports, tabulated search spaces (N=2-4 at K=10, N=2-3 at
 K=30) and an incremental one (N=10, K=30), one case per error class,
-`--mu` values that leave the smoothed PMI not finite, a dataset line nested
-too deeply for ``json``, an artifact whose K is not an integer, and a K
-beyond 2**53 given as a flag or read from an artifact, and the ``--help`` of
-the group and of every command. No case passes ``--timestamp``, whose output depends on the clock.
+`--mu` values that leave the smoothed PMI not finite, a ``--tau`` that would
+overflow the objective, a dataset line nested too deeply for ``json``, an
+artifact whose K is not an integer, a K beyond 2**53 given as a flag or
+read from an artifact, and the ``--help`` of the group and of every
+command. No case passes ``--timestamp``, whose output depends on the clock.
 
 After a change of output that is meant, rewrite the manifest with
 
@@ -184,6 +185,8 @@ CASES = [
     ["--help"],
     *([command, "--help"] for command in ["evaluate", "apply", "optimize", "ablate", "sweep",
                                           "density", "compare", "generate"]),
+    # a tau that would overflow the objective: refused before any output
+    ["optimize", "d3.jsonl", *_REPORTS, "--tau", "1e308", "--out", "a3-tau-huge.json"],
 ]
 
 

@@ -273,6 +273,29 @@ class TestPmiRefusal:
         assert result.stderr.splitlines() == [expected]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
+    def test_tau_that_overflows_the_objective_is_one_error_line(
+        self, runner, small_sets, tmp_path, monkeypatch, command
+    ):
+        opt, test = small_sets
+        out = tmp_path / "out.json"
+        search = ["--k", "3", "--tmax", "10", "--tmin", "1", "--tau", "1e308"]
+        args = {
+            "optimize": ["optimize", opt, *search, "--out", str(out)],
+            "ablate": ["ablate", opt, test, *search, "--json", str(out)],
+            "sweep": ["sweep", opt, test, "--sizes", "30,60", *search, "--json", str(out)],
+            "compare": ["compare", opt, test, *search, "--json", str(out)],
+        }[command]
+        anneals = []
+        monkeypatch.setattr("cobias.cli.anneal", lambda *args: anneals.append(args))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: tau=1e+308")
+        assert "can overflow the objective on this dataset, where |z3| may reach" in line
+        assert anneals == [] and not out.exists()
+
     def test_tiny_mu_reports_a_class_that_is_predicted(self, runner, tmp_path):
         # the same rows with class 2 predicted once: every PMI is finite, so
         # evaluate runs, while a search may reach counts without that prediction

@@ -1,3 +1,6 @@
+import math
+import re
+import sys
 import warnings
 from itertools import product
 
@@ -14,9 +17,10 @@ from cobias import (
     WeightSelection,
     anneal,
 )
-from cobias.metrics import accuracy_from_counts, cobias, confusion, pmi_from_counts
+from cobias.metrics import accuracy_from_counts, check_mu, cobias, confusion, pmi_from_counts
 from cobias import objective
-from cobias.objective import TERM_COMBINATIONS, _Objective, objective_table
+from cobias.annealer import _tabulates
+from cobias.objective import TERM_COMBINATIONS, _Objective, check_config, objective_table
 
 from helpers import random_dataset, reference_evaluation
 
@@ -216,6 +220,58 @@ class TestObjectiveCore:
             assert result.total_evaluations == 71
             assert result.selection.indices == (3, 2, 1)
             assert result.value.total == 0.17563051888859493
+
+
+class TestWeightOverflow:
+    """beta and tau are refused where z1 + beta*z2 - tau*z3 could overflow;
+    ``check_mu`` bounds |z3| from the PMI at its corners."""
+
+    def test_the_pmi_sum_stays_within_the_bound(self):
+        rng = np.random.default_rng(45)
+        for n in range(2, 12):
+            totals = rng.integers(0, 30, size=n)
+            totals[0] += 1
+            mu = 10 ** rng.uniform(-4, 2)
+            bound = check_mu(mu, totals)
+            stack = np.stack([[rng.multinomial(t, rng.dirichlet(np.full(n, 0.2))) for t in totals]
+                              for _ in range(200)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # classes without true samples
+                z3 = _Objective(totals, ObjectiveConfig(mu=mu))(stack).z3_pmi_sum
+            assert np.abs(z3).max() <= bound
+
+    @pytest.mark.parametrize("k, tabulates", [(4, True), (30, False)])
+    def test_tau_just_inside_the_bound_runs_to_a_finite_objective(self, k, tabulates):
+        ds = random_dataset(np.random.default_rng(46), 60, 3)
+        scale = WeightScale(k)
+        schedule = AnnealSchedule(t_max=10, t_min=1, alpha=0.5, lam=10)
+        assert _tabulates(3, k, schedule) == tabulates
+        z3_max = check_mu(ObjectiveConfig().mu, np.bincount(ds.labels, minlength=3))
+        inside = float(np.nextafter(sys.float_info.max / z3_max, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow would warn
+            result = anneal(ds, scale, ObjectiveConfig(tau=inside), schedule)
+        assert math.isfinite(result.value.total) and abs(result.value.total) > 1e300
+        for tau in (inside * (1 + 2**-40), 1e308):
+            message = f"tau={tau:g} and beta=2.7 can overflow the objective on this dataset"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                anneal(ds, scale, ObjectiveConfig(tau=tau), schedule)
+
+    def test_beta_counts_only_with_z2(self):
+        totals = np.array([20, 20, 20])
+        z3_max = check_mu(ObjectiveConfig().mu, totals)
+        tau = sys.float_info.max / z3_max / 2
+        check_config(ObjectiveConfig(beta=0.0, tau=tau), totals)
+        with pytest.raises(ValidationError, match=r"^tau=.* and beta=1.79769e\+308 can overflow"):
+            check_config(ObjectiveConfig(beta=sys.float_info.max, tau=tau), totals)
+        check_config(ObjectiveConfig.with_terms("z1-z3", beta=sys.float_info.max, tau=tau),
+                     totals)
+        with pytest.raises(ValidationError, match=r"^tau=1e\+308 can overflow the objective on "
+                                                  r"this dataset, where \|z3\| may reach"):
+            check_config(ObjectiveConfig.with_terms("z3", tau=1e308), totals)
+        # without z3 the total is at most 1 + beta
+        check_config(ObjectiveConfig.with_terms("z1+z2", beta=sys.float_info.max, tau=1e308),
+                     totals)
 
 
 class TestObjectiveTable:
