@@ -227,8 +227,9 @@ class SyntheticSpec:
                 samples_per_class=tuple(
                     _json_integer(c, "samples_per_class") for c in doc["samples_per_class"]
                 ),
-                confusion_bias=tuple(tuple(float(x) for x in row) for row in doc["confusion_bias"]),
-                concentration=float(doc["concentration"]),
+                confusion_bias=tuple(tuple(_json_number(x, "confusion_bias") for x in row)
+                                     for row in doc["confusion_bias"]),
+                concentration=_json_number(doc["concentration"], "concentration"),
                 seed=_json_integer(doc["seed"], "seed"),
             )
         except KeyError as exc:

@@ -1011,9 +1011,28 @@ class TestGenerateAndCompare:
                  "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": -1},
                 "error: seed must be nonnegative, got -1",
             ),
+            (
+                {"num_classes": 2, "samples_per_class": [4, 4],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": "5", "seed": 9},
+                "error: synthetic spec has an invalid value: concentration must be a number, "
+                "got '5'",
+            ),
+            (
+                {"num_classes": 2, "samples_per_class": [4, 4],
+                 "confusion_bias": [[True, 0], ["0.5", "0.5"]], "concentration": 5.0, "seed": 9},
+                "error: synthetic spec has an invalid value: confusion_bias must be a number, "
+                "got True",
+            ),
+            (
+                {"num_classes": 2, "samples_per_class": [4, 4],
+                 "confusion_bias": [[1, 0], ["0.5", "0.5"]], "concentration": 5.0, "seed": 9},
+                "error: synthetic spec has an invalid value: confusion_bias must be a number, "
+                "got '0.5'",
+            ),
         ],
         ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
-             "bool-num-classes", "negative-seed"],
+             "bool-num-classes", "negative-seed", "string-concentration", "bool-bias",
+             "string-bias"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
