@@ -534,7 +534,8 @@ def _csv_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if len(set(map(len, rows))) > 1 or len(rows[0]) < 3:
         return None
-    table = np.array(rows, dtype=np.float64)
+    table = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
+                        len(rows) * len(rows[0])).reshape(len(rows), -1)
     probs, labels = table[:, :-1], table[:, -1]
     # orjson reads an integer "-0" as 0 and float() as -0.0 (unlike "-0.0" or
     # the exponent of "1e-0"), so only a zero probability can have lost a sign
