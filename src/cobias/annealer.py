@@ -10,23 +10,25 @@ top scale point), i.e. from the uncorrected baseline predictions.
 
 Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
 makes enough proposals that scoring the whole search space costs fewer row
-passes (``_tabulates``), by lookups into ``objective_table``. Both give the
-same values, so a seeded run gives the same result either way. An
-evaluator's ``propose`` returns the objective total as a float; the chain
-reads the full ``ObjectiveValue`` (``evaluator.value``) only at the start
-and when an accepted move sets a strict new best.
+passes (``_tabulates``), by lookups into ``objective_table``'s totals. Both
+give the same totals, so a seeded run gives the same result either way. The
+start's value and the returned value are reference evaluations; a run raises
+if the returned total is not the chain's best total.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
-from .objective import IncrementalEvaluator, ObjectiveConfig, ObjectiveValue, objective_table
+from .metrics import confusion
+from .objective import (IncrementalEvaluator, ObjectiveConfig, ObjectiveValue,
+                        objective_from_counts, objective_table)
 from .oracle import DEFAULT_BUDGET
 
 DEFAULT_T_MAX = 200000.0
@@ -147,23 +149,16 @@ class _TableEvaluator:
         selection: WeightSelection,
     ):
         n, k = dataset.num_classes, scale.k_points
-        self._table = objective_table(dataset, scale, config)
-        self._totals = self._table.total.tolist()  # a proposal reads one plain float
+        self._totals = objective_table(dataset, scale, config)
         self._strides = [k ** (n - 1 - c) for c in range(n)]
         self._indices = list(selection.indices)
         self._flat = sum((i - 1) * s for i, s in zip(self._indices, self._strides))
-
-    @property
-    def value(self) -> ObjectiveValue:
-        t, flat = self._table, self._flat
-        return ObjectiveValue(*(None if v is None else float(v[flat]) for v in
-                                (t.z1_error_rate, t.z2_cobias, t.z3_pmi_sum, t.total)))
 
     def _moved(self, class_index: int, new_index: int) -> int:
         return self._flat + (new_index - self._indices[class_index]) * self._strides[class_index]
 
     def propose(self, class_index: int, new_index: int) -> float:
-        return self._totals[self._moved(class_index, new_index)]
+        return self._totals.item(self._moved(class_index, new_index))
 
     def apply(self, class_index: int, new_index: int) -> None:
         self._flat = self._moved(class_index, new_index)
@@ -207,7 +202,8 @@ def anneal(
     Deterministic given the schedule seed. The best-so-far objective is
     non-increasing over the whole run, temperatures follow
     t_max * alpha**iteration exactly, and the total proposal count never
-    exceeds ``predicted_complexity``.
+    exceeds ``predicted_complexity``. The value returned is the reference
+    evaluation of the best selection; a best total that differs raises.
     """
     n = dataset.num_classes
     k = scale.k_points
@@ -216,14 +212,19 @@ def anneal(
     evaluator = evaluator_type(dataset, scale, config, init)
     evaluations = 1
 
+    def reference(selection: WeightSelection) -> ObjectiveValue:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the evaluator has issued the dataset's warnings
+            return objective_from_counts(confusion(dataset, selection, scale), config)
+
+    init_value = reference(init)
     if k == 1:
         # Singleton search space: the initial selection is the only one.
-        return AnnealResult(init, evaluator.value, (), evaluations)
+        return AnnealResult(init, init_value, (), evaluations)
 
     rng = np.random.default_rng(schedule.seed)
     indices = np.asarray(init.indices, dtype=np.int64)
-    best_value = evaluator.value
-    current = best = best_value.total
+    current = best = init_value.total
     best_selection = init
     proposal_limit = schedule.proposals_per_temperature(n, k)
     accept_limit = schedule.acceptances_per_temperature(n, k)
@@ -246,7 +247,6 @@ def anneal(
                 accepted += 1
                 if candidate < best:
                     best = candidate
-                    best_value = evaluator.value
                     best_selection = WeightSelection(tuple(int(i) for i in indices))
         if records and best > records[-1]["best"]:
             raise AssertionError("best objective increased; annealer invariant broken")
@@ -258,5 +258,8 @@ def anneal(
             "acceptance_rate": accepted / proposals if proposals else 0.0,
         })
 
+    best_value = reference(best_selection)
+    if best_value.total != best:
+        raise AssertionError("the evaluator's best total differs from the reference evaluation")
     return AnnealResult(best_selection, best_value, tuple(records), evaluations)
 

@@ -52,17 +52,17 @@ class _Command(click.Command):
     """A command whose errors become exit codes and one-line messages.
 
     Warnings raised while it runs are echoed once per distinct message, as
-    ``warning:`` lines, after it finishes; an error ends it with one
-    ``error:`` line instead. Click's parsing and ``--help`` run before
-    ``invoke`` and keep click's own handling."""
+    ``warning:`` lines, after it finishes; an error, or an allocation the
+    system refuses, ends it with one ``error:`` line instead. Click's parsing
+    and ``--help`` run before ``invoke`` and keep click's own handling."""
 
     def invoke(self, ctx):
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = super().invoke(ctx)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (ValidationError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(1)
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)

@@ -212,10 +212,10 @@ def objective_table(
     dataset: ProbabilityDataset,
     scale: WeightScale,
     config: ObjectiveConfig,
-) -> ObjectiveValue:
-    """The objective of all K^N selections, in ``itertools.product`` order
-    (the last class's index varies fastest), as an ``ObjectiveValue`` of
-    (K^N,) float64 arrays (None for disabled terms).
+) -> np.ndarray:
+    """The objective total of all K^N selections, in ``itertools.product``
+    order (the last class's index varies fastest), as one (K^N,) float64
+    array.
 
     A threshold sweep per prefix, the first N-1 indices: reducing those
     classes one at a time with a strict ">" gives each row's prediction and
@@ -226,7 +226,7 @@ def objective_table(
     bincount over (label, prediction, count) and a cumulative sum over the
     count give the prefix's K confusion matrices at once. Every score is the
     product ``p * (index / K)`` that ``confusion`` forms, so each matrix
-    equals its ``confusion`` counts and each value the reference's.
+    equals its ``confusion`` counts and each total the reference's.
 
     Prefixes go in chunks whose temporaries stay near ``_TABLE_CHUNK_BYTES``;
     each chunk's matrices are scored as one stack as soon as they are built,
@@ -240,8 +240,7 @@ def objective_table(
     label_cells = dataset.labels * (n - 1)
     prefixes = k ** (n - 1)
     chunk = max(1, _TABLE_CHUNK_BYTES // (8 * (5 * m + 3 * k * n * n)))
-    enabled = (config.use_z1, config.use_z2, config.use_z3, True)
-    table = [np.empty(k**n) if on else None for on in enabled]
+    totals = np.empty(k**n)
     for start in range(0, prefixes, chunk):
         size = min(chunk, prefixes - start)
         digits = np.unravel_index(np.arange(start, start + size), (k,) * (n - 1))
@@ -262,13 +261,8 @@ def objective_table(
         counts = np.empty((size, k, n, n), dtype=np.int64)
         counts[..., :-1] = kept.transpose(0, 3, 1, 2)
         counts[..., -1] = true_totals - kept.sum(axis=2).transpose(0, 2, 1)
-        value = objective(counts.reshape(-1, n, n))
-        rows = slice(start * k, (start + size) * k)
-        for out, v in zip(table, (value.z1_error_rate, value.z2_cobias, value.z3_pmi_sum,
-                                  value.total)):
-            if out is not None:
-                out[rows] = v
-    return ObjectiveValue(*table)
+        totals[start * k:(start + size) * k] = objective(counts.reshape(-1, n, n)).total
+    return totals
 
 
 class IncrementalEvaluator:

@@ -3,7 +3,7 @@
 Exponential but exact; used as the ground-truth optimizer when validating the
 annealer on small instances. The whole search space is scored by
 ``objective.objective_table``, a threshold sweep over chunks of index
-prefixes whose values equal the reference evaluation's bit for bit. The
+prefixes whose totals equal the reference evaluation's bit for bit. The
 lexicographically smallest selection among those attaining the minimum is
 returned, which makes the result canonical and independent of enumeration
 order.
@@ -40,9 +40,9 @@ def enumerate_optimum(
         raise ValidationError(
             f"enumeration would evaluate {count} selections, above the budget of {DEFAULT_BUDGET}"
         )
-    table = objective_table(dataset, scale, config)
-    best = int(np.argmin(table.total))
+    totals = objective_table(dataset, scale, config)
+    best = int(np.argmin(totals))
     selection = WeightSelection(tuple(int(d) + 1 for d in np.unravel_index(best, (k,) * n)))
     value = objective_from_counts(confusion(dataset, selection, scale), config)
-    assert value.total == table.total[best], "table and full evaluation disagree"
+    assert value.total == totals[best], "table and full evaluation disagree"
     return selection, value

@@ -14,7 +14,8 @@ K=30) and an incremental one (N=10, K=30), one case per error class,
 overflow the objective, a dataset line nested too deeply for ``json``, an
 artifact whose K is not an integer, a K beyond 2**53 given as a flag or
 read from an artifact, and the ``--help`` of the group and of every
-command. No case passes ``--timestamp``, whose output depends on the clock.
+command. No case passes ``--timestamp``, whose output depends on the clock;
+``test_cli.py`` checks that it changes only ``created_at``.
 
 After a change of output that is meant, rewrite the manifest with
 

@@ -220,10 +220,27 @@ class TestAnneal:
         assert result.selection.indices == (4, 4)
 
     def test_returned_value_matches_returned_selection(self):
-        ds, scale = self._instance(seed=13)
-        cfg = ObjectiveConfig()
-        result = anneal(ds, scale, cfg, AnnealSchedule(seed=2))
-        assert result.value.total == reference_evaluation(ds, result.selection, scale, cfg).total
+        # every field, on the table and on the incremental path
+        cfg, schedule = ObjectiveConfig(), AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
+        for k, tabulates in [(4, True), (30, False)]:
+            ds, scale = self._instance(seed=13, k=k)
+            assert _tabulates(ds.num_classes, k, schedule) == tabulates
+            result = anneal(ds, scale, cfg, schedule)
+            assert result.value == reference_evaluation(ds, result.selection, scale, cfg)
+
+    @pytest.mark.parametrize("k, tabulates", [(4, True), (30, False)])
+    def test_a_proposal_off_by_one_ulp_is_caught(self, k, tabulates, monkeypatch):
+        # the chain's best total must equal the reference evaluation of the
+        # best selection, so a fast path one ulp low makes the run raise
+        ds, scale = self._instance(seed=13, k=k)
+        schedule = AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
+        assert _tabulates(ds.num_classes, k, schedule) == tabulates
+        evaluator = annealer._TableEvaluator if tabulates else annealer.IncrementalEvaluator
+        propose = evaluator.propose
+        monkeypatch.setattr(evaluator, "propose",
+                            lambda *args: np.nextafter(propose(*args), -np.inf))
+        with pytest.raises(AssertionError, match="differs from the reference evaluation"):
+            anneal(ds, scale, ObjectiveConfig(), schedule)
 
     @pytest.mark.parametrize("k", [4, 1])
     def test_optimize_trace_lines_are_the_records(self, tmp_path, k):

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -332,6 +333,20 @@ class TestOptimizeAndApply:
         assert doc["objective_config"]["tau"] == 0.2
         assert doc["provenance"]["schedule"]["t_max"] == 200000.0
         assert doc["provenance"]["created_at"] is None
+
+    def test_timestamp_is_the_only_difference(self, runner, small_sets, tmp_path):
+        opt, _ = small_sets
+        args = ["optimize", opt, "--k", "4", "--seed", "3"]
+        plain, stamped = tmp_path / "plain.json", tmp_path / "stamped.json"
+        assert runner.invoke(main, args + ["--out", str(plain)]).exit_code == 0
+        assert runner.invoke(main, args + ["--timestamp", "--out", str(stamped)]).exit_code == 0
+        created_at = json.loads(stamped.read_text())["provenance"]["created_at"]
+        assert datetime.fromisoformat(created_at).utcoffset() == timedelta(0)
+        text = stamped.read_text().replace(json.dumps(created_at), "null")
+        assert text == plain.read_text()
+        applied = [runner.invoke(main, ["apply", opt, str(path)]) for path in (stamped, plain)]
+        assert [r.exit_code for r in applied] == [0, 0]
+        assert applied[0].stdout == applied[1].stdout
 
     def test_trace_export(self, runner, small_sets, tmp_path):
         opt, _ = small_sets
@@ -1029,10 +1044,18 @@ class TestGenerateAndCompare:
                 "error: synthetic spec has an invalid value: confusion_bias must be a number, "
                 "got '0.5'",
             ),
+            (
+                # 14.2 PiB is beyond a 47-bit address space, so the allocation
+                # fails at once whatever the system's overcommit setting
+                {"num_classes": 2, "samples_per_class": [10**15, 1],
+                 "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 9},
+                "error: Unable to allocate 14.2 PiB for an array with shape "
+                "(1000000000000000, 2) and data type float64",
+            ),
         ],
         ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
              "bool-num-classes", "negative-seed", "string-concentration", "bool-bias",
-             "string-bias"],
+             "string-bias", "too-large-to-allocate"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"
@@ -1040,6 +1063,7 @@ class TestGenerateAndCompare:
         out = tmp_path / "g.jsonl"
         result = runner.invoke(main, ["generate", "--spec", str(spec_path), "--out", str(out)])
         assert result.exit_code == 1
+        assert result.stdout == ""
         assert result.stderr.splitlines() == [message]
         assert not out.exists()
 
