@@ -25,16 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
+from .defaults import DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .errors import ValidationError
 from .metrics import confusion
 from .objective import (IncrementalEvaluator, ObjectiveConfig, ObjectiveValue,
                         objective_from_counts, objective_table)
 from .oracle import DEFAULT_BUDGET
-
-DEFAULT_T_MAX = 200000.0
-DEFAULT_T_MIN = 0.1
-DEFAULT_ALPHA = 0.95
-DEFAULT_LAMBDA = 5.0
 
 
 @dataclass(frozen=True)

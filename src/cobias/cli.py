@@ -19,29 +19,40 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .annealer import AnnealSchedule, anneal, predicted_complexity
-from .baselines import compare_methods
-from .data import (
-    DATASET_FORMATS,
-    ProbabilityDataset,
-    ReweightArtifact,
-    SyntheticSpec,
-    WeightScale,
-    _in_two,
-    _stratified_subsample,
-    generate_synthetic,
-    load_artifact,
-    load_dataset,
-    read_json,
-    save_artifact,
-    save_dataset,
-)
+from .defaults import (DATASET_FORMATS, DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_LAMBDA, DEFAULT_MU,
+                       DEFAULT_T_MAX, DEFAULT_T_MIN, DEFAULT_TAU, TERM_COMBINATIONS)
 from .errors import ValidationError
-from .metrics import DEFAULT_MU, check_mu, class_report, report_document
-from .objective import DEFAULT_BETA, DEFAULT_TAU, TERM_COMBINATIONS, ObjectiveConfig, check_config
+
+
+def _bind_numeric_names() -> None:
+    """Import numpy and the numeric modules, and bind the names used from them
+    here, where callers look them up (a tracer wraps ``cli.load_dataset``, a
+    test patches ``cli.anneal``). It runs as a command starts and on the first
+    lookup of a name not yet bound, so ``--version``, ``--help`` and usage
+    errors load none of them; a name bound before it runs is kept."""
+    import numpy as np
+
+    from .annealer import AnnealSchedule, anneal, predicted_complexity
+    from .baselines import compare_methods
+    from .data import (ProbabilityDataset, ReweightArtifact, SyntheticSpec, WeightScale, _in_two,
+                       _stratified_subsample, generate_synthetic, load_artifact, load_dataset,
+                       read_json, save_artifact, save_dataset)
+    from .metrics import check_mu, class_report, report_document
+    from .objective import ObjectiveConfig, check_config
+
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    _bind_numeric_names()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
 
 DEFAULT_K = 30
 DEFAULT_TERMS = "z1+z2-z3"
@@ -54,9 +65,11 @@ class _Command(click.Command):
     Warnings raised while it runs are echoed once per distinct message, as
     ``warning:`` lines, after it finishes; an error, or an allocation the
     system refuses, ends it with one ``error:`` line instead. Click's parsing
-    and ``--help`` run before ``invoke`` and keep click's own handling."""
+    and ``--help`` run before ``invoke`` and keep click's own handling. The
+    numeric names are bound first, so an import's warning is not echoed."""
 
     def invoke(self, ctx):
+        _bind_numeric_names()
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -120,13 +133,13 @@ _search_flags = {
                           help="Objective term combination."),
     "k": click.option("--k", "k_points", type=int, default=DEFAULT_K, show_default=True,
                       help="Number of points on the correction weight scale."),
-    "tmax": click.option("--tmax", type=float, default=AnnealSchedule.t_max, show_default=True,
+    "tmax": click.option("--tmax", type=float, default=DEFAULT_T_MAX, show_default=True,
                          help="Initial temperature."),
-    "tmin": click.option("--tmin", type=float, default=AnnealSchedule.t_min, show_default=True,
+    "tmin": click.option("--tmin", type=float, default=DEFAULT_T_MIN, show_default=True,
                          help="Stop temperature."),
-    "alpha": click.option("--alpha", type=float, default=AnnealSchedule.alpha,
+    "alpha": click.option("--alpha", type=float, default=DEFAULT_ALPHA,
                           show_default=True, help="Geometric cooling factor."),
-    "lambda": click.option("--lambda", "lam", type=float, default=AnnealSchedule.lam,
+    "lambda": click.option("--lambda", "lam", type=float, default=DEFAULT_LAMBDA,
                            show_default=True,
                            help="Chain-length multiplier; inner loop = ceil(lambda*N*K) proposals."),
     "max-accepted": click.option("--max-accepted", type=int, default=None,
@@ -490,8 +503,9 @@ def generate(spec_path, out_path, fmt):
 
 def run():
     """The ``cobias`` executable: ``main``, then ``gc.freeze()`` on the way out,
-    so the interpreter's exit-time collections skip the ~24k objects that the
-    imports leave (40-55 ms a command). Every output file is closed before
+    so the interpreter's exit-time collections skip the ~23k objects that a
+    command's imports leave (40-55 ms a command; ~15k objects when no command
+    runs, as under ``--version``). Every output file is closed before
     ``main`` returns. ``main`` run in process, as under ``CliRunner``, leaves
     the caller's collector alone."""
     try:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .defaults import DATASET_FORMATS
 from .errors import ArtifactError, DatasetFormatError, ValidationError
 
 if TYPE_CHECKING:  # avoids a circular import; objective.py depends on this module
@@ -303,7 +304,6 @@ def _stratified_subsample(
 # Dataset file I/O
 # ---------------------------------------------------------------------------
 
-DATASET_FORMATS = ("jsonl", "csv")
 _CHUNK_CHARS = 1 << 18  # text parsed per chunk; bounds the rows held as Python objects
 
 

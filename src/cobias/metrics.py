@@ -29,9 +29,8 @@ import warnings
 import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection, readonly_array
+from .defaults import DEFAULT_MU
 from .errors import ValidationError
-
-DEFAULT_MU = 1e-3
 
 
 def counts_from_predictions(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:

@@ -33,31 +33,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection, _json_number
+from .defaults import DEFAULT_BETA, DEFAULT_MU, DEFAULT_TAU, TERM_COMBINATIONS
 from .errors import ValidationError
-from .metrics import (
-    DEFAULT_MU,
-    _gap_weights,
-    _pairwise_gap,
-    _pmi,
-    check_mu,
-    counts_from_predictions,
-)
-
-DEFAULT_BETA = 2.7
-DEFAULT_TAU = 0.2
-
-# The seven term combinations used for ablations, keyed by an ASCII name,
-# as the (z1, z2, z3) enable flags and the ablation table's label.
-# "+z2" always carries the beta weight and "-z3" the (negated) tau weight.
-TERM_COMBINATIONS = {
-    "z1": ((True, False, False), "z1"),
-    "z2": ((False, True, False), "z2"),
-    "z3": ((False, False, True), "z3"),
-    "z1+z2": ((True, True, False), "z1+βz2"),
-    "z1-z3": ((True, False, True), "z1-τz3"),
-    "z2-z3": ((False, True, True), "βz2-τz3"),
-    "z1+z2-z3": ((True, True, True), "z1+βz2-τz3"),
-}
+from .metrics import _gap_weights, _pairwise_gap, _pmi, check_mu, counts_from_predictions
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ order.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .data import ProbabilityDataset, WeightScale, WeightSelection
@@ -31,7 +33,9 @@ def enumerate_optimum(
     Refuses instances with K^N above ``DEFAULT_BUDGET``, before the table is
     built; the refusal message carries the exact selection count.
     The first minimum in ``itertools.product`` order is the smallest
-    selection; its value is evaluated again from its confusion counts.
+    selection; its value is evaluated again from its confusion counts, with
+    warnings ignored (the table has issued the dataset's), and a total that
+    differs from the table's raises.
     """
     n = dataset.num_classes
     k = scale.k_points
@@ -43,6 +47,9 @@ def enumerate_optimum(
     totals = objective_table(dataset, scale, config)
     best = int(np.argmin(totals))
     selection = WeightSelection(tuple(int(d) + 1 for d in np.unravel_index(best, (k,) * n)))
-    value = objective_from_counts(confusion(dataset, selection, scale), config)
-    assert value.total == totals[best], "table and full evaluation disagree"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = objective_from_counts(confusion(dataset, selection, scale), config)
+    if value.total != totals[best]:
+        raise AssertionError("table and full evaluation disagree")
     return selection, value

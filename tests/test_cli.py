@@ -58,17 +58,57 @@ class TestExecutable:
     through ``CliRunner`` never reach."""
 
     @staticmethod
-    def _run(args, cwd, stdout=subprocess.PIPE):
+    def _run(args, cwd, stdout=subprocess.PIPE, python=("-m", "cobias.cli")):
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "cobias.cli", *args], cwd=cwd, env=env,
+        return subprocess.run([sys.executable, *python, *args], cwd=cwd, env=env,
                               stdout=stdout, stderr=subprocess.PIPE, text=True)
 
-    def test_version_exits_0(self, tmp_path):
-        result = self._run(["--version"], tmp_path)
-        assert result.returncode == 0
-        assert cli.__version__ in result.stdout and result.stderr == ""
+    @pytest.mark.parametrize("args, code, stdout, stderr", [
+        (["--version"], 0, f"version {cli.__version__}\n", ""),
+        (["--help"], 0, "Usage: ", ""),
+        *[([name, "--help"], 0, "Usage: ", "") for name in main.commands],
+        (["optimize"], 2, "", "Error: Missing argument 'OPTIMIZATION_PATH'."),
+    ], ids=["version", "help", *[f"{name}-help" for name in main.commands], "usage-error"])
+    def test_start_up_imports_no_numpy(self, tmp_path, args, code, stdout, stderr):
+        # --version, --help and click's usage errors never run a command, so
+        # nothing imports numpy or orjson
+        result = self._run(args, tmp_path, python=("-X", "importtime", "-m", "cobias.cli"))
+        timings = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+        modules = {line.rsplit("|", 1)[1].strip() for line in timings[1:]}
+        assert "cobias.defaults" in modules
+        assert sorted(m for m in modules if m.split(".")[0] in ("numpy", "orjson")) == []
+        assert result.returncode == code
+        assert stdout in result.stdout
+        rest = [line for line in result.stderr.splitlines() if line not in timings]
+        assert rest[-1:] == ([stderr] if stderr else [])
+
+    def test_a_name_replaced_before_the_first_command_is_kept(self, tmp_path):
+        # the benchmark's tracer wraps cli.load_dataset before its first
+        # traced command, so the names the command binds must not replace it
+        (tmp_path / "d.jsonl").write_text('{"probs":[0.6,0.4],"label":0}\n')
+        script = """if True:
+            import sys
+            from cobias import cli
+            calls = []
+            def recorder(*args):
+                from cobias.data import load_dataset
+                calls.append(args)
+                return load_dataset(*args)
+            cli.load_dataset = recorder
+            assert "numpy" not in sys.modules
+            cli.main.main(["evaluate", "d.jsonl"], standalone_mode=False)
+            assert "numpy" in sys.modules and cli.load_dataset is recorder
+            sys.exit(len(calls) != 1)
+        """
+        result = self._run([], tmp_path, python=("-c", script))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("samples: 1  classes: 2\n")
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'cobias.cli' has no attribute 'no_such_name'"):
+            cli.no_such_name
 
     def test_optimize_trace_matches_the_in_process_run(
         self, runner, small_sets, tmp_path, monkeypatch

@@ -96,3 +96,23 @@ class TestEnumerateOptimum:
         for _ in range(200):
             sel = WeightSelection(tuple(rng.integers(1, 5, size=3)))
             assert reference_evaluation(ds, sel, scale, cfg).total >= best.total
+
+    def test_a_call_issues_the_datasets_warning_once(self):
+        # class 2 has no true samples; the final reference evaluation does
+        # not repeat the warning that the table has issued
+        ds = ProbabilityDataset.from_arrays([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2]], [0, 1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            enumerate_optimum(ds, WeightScale(3), ObjectiveConfig())
+        messages = [str(w.message) for w in caught]
+        assert messages.count(
+            "classes without true samples excluded from the pairwise accuracy gap") == 1
+
+    def test_a_table_that_disagrees_with_the_reference_raises(self, monkeypatch):
+        # an explicit raise, so the check also runs under python -O
+        table = oracle.objective_table
+        monkeypatch.setattr(oracle, "objective_table",
+                            lambda *args: np.nextafter(table(*args), -np.inf))
+        ds = random_dataset(np.random.default_rng(3), 30, 3)
+        with pytest.raises(AssertionError, match="table and full evaluation disagree"):
+            enumerate_optimum(ds, WeightScale(3), ObjectiveConfig())
