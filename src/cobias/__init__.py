@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("ArtifactError", "DatasetFormatError", "ValidationError"),
     "metrics": ("class_report", "cobias", "cobias_single", "confusion", "odd_classes",
                 "report_document"),
-    "objective": ("IncrementalEvaluator", "ObjectiveConfig", "ObjectiveValue"),
+    "objective": ("ObjectiveConfig", "ObjectiveValue"),
     "oracle": ("enumerate_optimum",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

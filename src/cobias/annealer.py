@@ -10,10 +10,13 @@ top scale point), i.e. from the uncorrected baseline predictions.
 
 Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
 makes enough proposals that scoring the whole search space costs fewer row
-passes (``_tabulates``), by lookups into ``objective_table``'s totals. Both
-give the same totals, so a seeded run gives the same result either way. The
-start's value and the returned value are reference evaluations; a run raises
-if the returned total is not the chain's best total.
+passes (``_tabulates``), by ``_TableEvaluator``'s lookups into
+``objective_table``'s totals. Both are built from (dataset, scale, config,
+selection) and have ``propose(c, k)``, which returns a move's total and
+changes nothing, and ``apply(c, k)``, which commits it and returns nothing.
+Both give the same totals, so a seeded run gives the same result either way.
+The start's value and the returned value are reference evaluations; a run
+raises if the returned total is not the chain's best total.
 """
 
 from __future__ import annotations

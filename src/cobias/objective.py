@@ -20,9 +20,10 @@ metrics module's. Two evaluators build on it and agree bit for bit with the
 reference ``objective_from_counts(confusion(...), config)``:
 ``objective_table`` scores all K^N selections by a threshold sweep (the
 oracle's search, and the annealer's when that is cheaper than its chain),
-and ``IncrementalEvaluator`` scores one move at a time. Both predict through
-``_argmax``, so neither checks the other's tie rule: the independent check
-of each is the reference, whose ``confusion`` runs ``np.argmax``.
+and ``IncrementalEvaluator`` scores one move at a time: ``propose`` returns
+a move's total, ``apply`` commits the move and returns nothing. Both predict
+through ``_argmax``, so neither checks the other's tie rule: the independent
+check of each is the reference, whose ``confusion`` runs ``np.argmax``.
 """
 
 from __future__ import annotations
@@ -268,9 +269,9 @@ class IncrementalEvaluator:
     true-class totals, so its per-dataset constants are computed, and its
     warnings issued, once per evaluator rather than once per proposal.
 
-    A single solver run owns the cache; ``propose`` is side-effect free and
-    returns the objective total, and ``apply`` commits a move and returns
-    its full value.
+    A single solver run owns the cache. It follows the annealer's evaluator
+    protocol: ``propose`` is side-effect free and returns the objective
+    total, and ``apply`` commits a move and returns nothing.
     """
 
     def __init__(
@@ -281,40 +282,29 @@ class IncrementalEvaluator:
         selection: WeightSelection,
     ):
         selection.validate(dataset.num_classes, scale)
-        self.dataset = dataset
-        self.scale = scale
         n = dataset.num_classes
+        self._k = scale.k_points
         self._indices = np.asarray(selection.indices, dtype=np.int64)
         self._probs_t = np.ascontiguousarray(dataset.probs.T)
         self._label_base = dataset.labels * n
-        self._preds, self._row_max = _argmax(self._probs_t, self._indices / scale.k_points)
+        self._preds, self._row_max = _argmax(self._probs_t, self._indices / self._k)
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._objective = _Objective(self._counts.sum(axis=1), config)
-        self._value = self._objective(self._counts)
+        self._total = self._objective(self._counts).total
         self._pending = None
 
-    @property
-    def value(self) -> ObjectiveValue:
-        return self._value
-
     def _check_move(self, class_index: int, new_index: int) -> None:
-        if not 0 <= class_index < self.dataset.num_classes:
-            raise ValidationError(
-                f"class index {class_index} outside [0, {self.dataset.num_classes - 1}]"
-            )
-        if not 1 <= new_index <= self.scale.k_points:
-            raise ValidationError(
-                f"scale index {new_index} outside [1, {self.scale.k_points}]"
-            )
+        if not 0 <= class_index < self._indices.size:
+            raise ValidationError(f"class index {class_index} outside [0, {self._indices.size - 1}]")
+        if not 1 <= new_index <= self._k:
+            raise ValidationError(f"scale index {new_index} outside [1, {self._k}]")
 
     def propose(self, class_index: int, new_index: int) -> float:
-        """Objective total with one class's weight changed; state untouched.
-
-        The full value is kept for ``apply``, which returns it."""
+        """Objective total with one class's weight changed; state untouched."""
         self._check_move(class_index, new_index)
         c = class_index
-        weights = self._indices / self.scale.k_points
-        weights[c] = new_index / self.scale.k_points
+        weights = self._indices / self._k
+        weights[c] = new_index / self._k
         if new_index > self._indices[c]:
             new_col = self._probs_t[c] * weights[c]
             cand = np.flatnonzero(new_col >= self._row_max)
@@ -331,28 +321,27 @@ class IncrementalEvaluator:
             flip = new_preds != c
             changed, old, new = rows[flip], c, new_preds[flip]
         if changed.size:
-            nn = self.dataset.num_classes ** 2
+            nn = self._counts.size
             base = self._label_base[changed]
             delta = np.bincount(base + new, minlength=nn) - np.bincount(base + old, minlength=nn)
             counts = self._counts + delta.reshape(self._counts.shape)
-            value = self._objective(counts)
+            total = self._objective(counts).total
         else:
-            counts, value = self._counts, self._value
-        self._pending = (c, new_index, rows, new_preds, new_max, counts, value)
-        return value.total
+            counts, total = self._counts, self._total
+        self._pending = (c, new_index, rows, new_preds, new_max, counts, total)
+        return total
 
-    def apply(self, class_index: int, new_index: int) -> ObjectiveValue:
-        """Commit a single-class weight change and return the new value."""
+    def apply(self, class_index: int, new_index: int) -> None:
+        """Commit a single-class weight change."""
         pending = self._pending
         if pending is None or pending[0] != class_index or pending[1] != new_index:
             self.propose(class_index, new_index)
             pending = self._pending
-        c, idx, rows, new_preds, new_max, counts, value = pending
+        c, idx, rows, new_preds, new_max, counts, total = pending
         self._pending = None
         self._indices[c] = idx
         self._preds[rows] = new_preds
         self._row_max[rows] = new_max
         self._counts = counts
-        self._value = value
-        return value
+        self._total = total
 

@@ -14,7 +14,7 @@ from cobias import (
     anneal,
     predicted_complexity,
 )
-from cobias import annealer
+from cobias import annealer, objective
 from cobias.annealer import _draw_move, _tabulates
 from cobias.objective import TERM_COMBINATIONS
 
@@ -164,6 +164,32 @@ class TestTabulation:
             assert table.value == chain.value
             assert table.records == chain.records
             assert table.total_evaluations == chain.total_evaluations
+
+    @pytest.mark.parametrize("kind", [annealer._TableEvaluator, objective.IncrementalEvaluator])
+    def test_both_evaluators_follow_one_protocol(self, kind):
+        # Multiples of 1/8 times weights k/4 tie exactly, and the last label
+        # never occurs. The same seeded walk proposes then commits one move,
+        # proposes one and commits another, and commits without a proposal;
+        # every proposal is the reference total and every commit returns None.
+        rng = np.random.default_rng(61)
+        n, scale, cfg = 4, WeightScale(4), ObjectiveConfig()
+        probs = rng.multinomial(8, np.full(n, 1 / n), size=80) / 8
+        ds = ProbabilityDataset.from_arrays(probs, rng.integers(n - 1, size=80))
+        indices = [4] * n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the class without true samples
+            evaluator = kind(ds, scale, cfg, WeightSelection(tuple(indices)))
+            for step in range(300):
+                c, idx = int(rng.integers(n)), int(rng.integers(1, 5))
+                if step % 3 < 2:
+                    proposed = idx if step % 3 == 0 else int(rng.integers(1, 5))
+                    moved = tuple(proposed if j == c else i for j, i in enumerate(indices))
+                    want = reference_evaluation(ds, WeightSelection(moved), scale, cfg).total
+                    assert evaluator.propose(c, proposed) == want
+                assert evaluator.apply(c, idx) is None
+                indices[c] = idx
+            final = reference_evaluation(ds, WeightSelection(tuple(indices)), scale, cfg).total
+            assert evaluator.propose(0, indices[0]) == final
 
 
 class TestAnneal:

@@ -9,7 +9,6 @@ import pytest
 
 from cobias import (
     AnnealSchedule,
-    IncrementalEvaluator,
     ObjectiveConfig,
     ProbabilityDataset,
     ValidationError,
@@ -20,7 +19,8 @@ from cobias import (
 from cobias.metrics import accuracy_from_counts, check_mu, cobias, confusion, pmi_from_counts
 from cobias import objective
 from cobias.annealer import _tabulates
-from cobias.objective import TERM_COMBINATIONS, _Objective, check_config, objective_table
+from cobias.objective import (TERM_COMBINATIONS, IncrementalEvaluator, _Objective, check_config,
+                              objective_table)
 
 from helpers import random_dataset, reference_evaluation
 
@@ -314,59 +314,54 @@ class TestIncrementalEvaluator:
     def test_noop_move_returns_cached_value(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 50, 3)
-        scale = WeightScale(8)
+        scale, cfg = WeightScale(8), ObjectiveConfig()
         sel = WeightSelection((3, 5, 8))
-        state = IncrementalEvaluator(ds, scale, ObjectiveConfig(), sel)
-        before = state.value
-        assert state.propose(1, 5) == before.total
-        assert state.apply(1, 5) == before
+        state = IncrementalEvaluator(ds, scale, cfg, sel)
+        assert state.propose(1, 5) == reference_evaluation(ds, sel, scale, cfg).total
+        assert state.apply(1, 5) is None
+        assert (state._counts == confusion(ds, sel, scale)).all()
 
     def test_zero_mass_class_weight_is_irrelevant(self):
         probs = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.8, 0.2, 0.0]])
         ds = ProbabilityDataset.from_arrays(probs, [0, 1, 0])
-        scale = WeightScale(10)
-        state = IncrementalEvaluator(
-            ds, scale, ObjectiveConfig(), WeightSelection((5, 5, 1))
-        )
-        before = state.value
+        scale, cfg = WeightScale(10), ObjectiveConfig()
+        state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((5, 5, 1)))
+        before = reference_evaluation(ds, WeightSelection((5, 5, 1)), scale, cfg).total
         for idx in (2, 7, 10):
-            assert state.propose(2, idx) == before.total
-            assert state.apply(2, idx) == before
+            assert state.propose(2, idx) == before
+            state.apply(2, idx)
+            assert (state._counts == confusion(ds, WeightSelection((5, 5, idx)), scale)).all()
 
     def test_random_walk_matches_full_evaluation(self):
-        # 1000 random single-class moves; the cached path must track a fresh
-        # full evaluation exactly.
+        # 1000 random single-class moves; every proposal's total must equal a
+        # fresh full evaluation's, and every commit's counts its confusion.
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 200, 4)
         scale = WeightScale(8)
         cfg = ObjectiveConfig()
-        sel = WeightSelection((8, 8, 8, 8))
-        state = IncrementalEvaluator(ds, scale, cfg, sel)
-        indices = list(sel.indices)
-        worst = 0.0
+        state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((8, 8, 8, 8)))
+        indices = [8, 8, 8, 8]
         for _ in range(1000):
             c = int(rng.integers(4))
             idx = int(rng.integers(1, 9))
-            preview = state.propose(c, idx)
+            moved = WeightSelection(tuple(idx if j == c else i for j, i in enumerate(indices)))
+            assert state.propose(c, idx) == reference_evaluation(ds, moved, scale, cfg).total
             if rng.random() < 0.5:
                 state.apply(c, idx)
                 indices[c] = idx
-                preview = state.value
-                expected = reference_evaluation(ds, WeightSelection(tuple(indices)), scale, cfg)
-                worst = max(worst, abs(preview.total - expected.total))
-                assert preview.total == pytest.approx(expected.total, abs=1e-12)
-        assert worst <= 1e-12
+                assert (state._counts == confusion(ds, moved, scale)).all()
 
     def test_preview_does_not_mutate_state(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 30, 3)
-        scale = WeightScale(5)
-        state = IncrementalEvaluator(ds, scale, ObjectiveConfig(), WeightSelection((5, 5, 5)))
-        before = state.value
+        scale, cfg = WeightScale(5), ObjectiveConfig()
+        sel = WeightSelection((5, 5, 5))
+        state = IncrementalEvaluator(ds, scale, cfg, sel)
         state.propose(0, 1)
         state.propose(1, 2)
-        assert state.value == before
+        assert (state._counts == confusion(ds, sel, scale)).all()
         assert state._indices.tolist() == [5, 5, 5]
+        assert state.propose(2, 5) == reference_evaluation(ds, sel, scale, cfg).total
 
     def test_propose_matches_full_evaluation(self):
         rng = np.random.default_rng(4)
@@ -374,9 +369,10 @@ class TestIncrementalEvaluator:
         scale = WeightScale(5)
         cfg = ObjectiveConfig()
         state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((5, 5, 5)))
-        expected = reference_evaluation(ds, WeightSelection((2, 5, 5)), scale, cfg)
-        assert state.propose(0, 2) == expected.total
-        assert state.apply(0, 2) == expected
+        moved = WeightSelection((2, 5, 5))
+        assert state.propose(0, 2) == reference_evaluation(ds, moved, scale, cfg).total
+        assert state.apply(0, 2) is None
+        assert (state._counts == confusion(ds, moved, scale)).all()
 
     def test_move_validation(self):
         rng = np.random.default_rng(5)
@@ -407,13 +403,11 @@ class TestIncrementalEvaluator:
             c = int(rng.integers(n))
             idx = int(rng.integers(1, 5))
             kind = step % 3
-            if kind == 0:  # propose, then commit that move
-                state.propose(c, idx)
-            elif kind == 1:  # propose one move, then commit another
-                state.propose(c, int(rng.integers(1, 5)))
+            if kind < 2:  # 0: propose, then commit that move; 1: propose one, commit another
+                proposed = idx if kind == 0 else int(rng.integers(1, 5))
+                moved = WeightSelection(tuple(proposed if j == c else i
+                                              for j, i in enumerate(indices)))
+                assert state.propose(c, proposed) == reference_evaluation(ds, moved, scale, cfg).total
             state.apply(c, idx)  # kind 2: commit without a prior propose
             indices[c] = idx
-            sel = WeightSelection(tuple(indices))
-            expected = confusion(ds, sel, scale)
-            assert (state._counts == expected).all()
-            assert state.value.total == reference_evaluation(ds, sel, scale, cfg).total
+            assert (state._counts == confusion(ds, WeightSelection(tuple(indices)), scale)).all()
