@@ -36,7 +36,7 @@ def _bind_numeric_names() -> None:
 
     from .annealer import AnnealSchedule, anneal, predicted_complexity
     from .baselines import compare_methods
-    from .data import (ProbabilityDataset, ReweightArtifact, SyntheticSpec, WeightScale, _in_two,
+    from .data import (ProbabilityDataset, ReweightArtifact, SyntheticSpec, WeightScale,
                        _stratified_subsample, generate_synthetic, load_artifact, load_dataset,
                        read_json, save_artifact, save_dataset)
     from .metrics import check_mu, class_report, report_document
@@ -56,7 +56,6 @@ def __getattr__(name: str):
 
 DEFAULT_K = 30
 DEFAULT_TERMS = "z1+z2-z3"
-_FORK_ROWS = 10_000  # density's break-even: 16 ms in one or two processes on a 2-CPU Xeon
 
 
 class _Command(click.Command):
@@ -449,19 +448,20 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
 def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     """Export each sample's (optionally reweighted) ground-truth-class
     probability as plot-ready long-format rows."""
+    import orjson  # here, not at module import: `cobias --version` need not pay for it
+
     dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
     scores = dataset.probs if artifact is None else dataset.probs * artifact.coefficients
     values = np.take_along_axis(scores, dataset.labels[:, None], axis=1)[:, 0]
     if not raw:  # the same division per element as normalizing every row first
         values = values / scores.sum(axis=1)
 
-    def rows(start, stop):
-        pairs = zip(dataset.labels[start:stop].tolist(), values[start:stop].tolist())
-        return "".join([f"{label},{value!r}\n" for label, value in pairs])
-
-    m = dataset.num_samples
-    halves = _in_two(lambda: rows(0, m // 2), lambda: rows(m // 2, m), fork=m > _FORK_ROWS)
-    Path(out_path).write_text("".join(["class,value\n", *halves]))
+    pairs = list(zip(dataset.labels.tolist(), values.tolist()))
+    rows = orjson.dumps(pairs)[2:-2].split(b"],[")
+    # orjson writes as repr does from 1e-4 up to 1e16, beyond every value here
+    for i in np.flatnonzero(values < 1e-4).tolist():
+        rows[i] = "{},{!r}".format(*pairs[i]).encode()
+    Path(out_path).write_bytes(b"\n".join([b"class,value", *rows, b""]))
     click.echo(f"{dataset.num_samples} rows written to {out_path}")
 
 

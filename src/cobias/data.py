@@ -341,19 +341,19 @@ def _usable_cpus() -> int:
 def _in_two(here, there, fork: bool):
     """``(here(), there())``, with ``there`` run by a forked child if ``fork``.
 
-    The child pickles its result into a pipe and leaves through ``os._exit``,
-    so it runs no cleanup and flushes no inherited buffer. Its result counts
-    only if it unpickles and the child exits 0, else ``there`` runs again
-    here. A child is killed unread when ``here()`` is None or raises, and
-    always reaped. Without fork or a second usable CPU both run here.
-    """
+    Its one caller is the parse, ``_parse_chunked``. The child pickles its
+    result into a pipe and leaves through ``os._exit``, so it runs no cleanup
+    and flushes no inherited buffer. Its result counts only if it unpickles
+    and the child exits 0, else ``there`` runs again here. A child is killed
+    unread when ``here()`` is None or raises, and always reaped. Without
+    fork or a second usable CPU both run here."""
     if not (fork and hasattr(os, "fork") and _usable_cpus() > 1):
         first = here()
         return (None, None) if first is None else (first, there())
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12+ warns on any fork once numpy's BLAS pool has started;
-        # the children parse or format text and touch no BLAS
+        # the children only parse text and touch no BLAS
         warnings.filterwarnings(
             "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
         )

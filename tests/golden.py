@@ -13,9 +13,10 @@ K=30) and an incremental one (N=10, K=30), one case per error class,
 `--mu` values that leave the smoothed PMI not finite, a ``--tau`` that would
 overflow the objective, a dataset line nested too deeply for ``json``, an
 artifact whose K is not an integer, a K beyond 2**53 given as a flag or
-read from an artifact, and the ``--help`` of the group and of every
-command. No case passes ``--timestamp``, whose output depends on the clock;
-``test_cli.py`` checks that it changes only ``created_at``.
+read from an artifact, ``density`` values on both sides of 1e-4, and the
+``--help`` of the group and of every command. No case passes
+``--timestamp``, whose output depends on the clock; ``test_cli.py`` checks
+that it changes only ``created_at``.
 
 After a change of output that is meant, rewrite the manifest with
 
@@ -68,6 +69,19 @@ _ABSENT_CLASS = "".join(
                  ([0.2, 0.7, 0.1], 1), ([0.45, 0.35, 0.2], 1)]
 )
 
+
+def _small_value_rows(values) -> str:
+    """One row per value, which is the true-class probability; the label
+    cycles through three classes, and each row sums to 1.0000005, so that
+    renormalizing changes the values."""
+    lines = []
+    for i, value in enumerate(values):
+        probs = [0.5, 0.5000005 - value]
+        probs.insert(i % 3, value)
+        lines.append(json.dumps({"probs": probs, "label": i % 3}) + "\n")
+    return "".join(lines)
+
+
 INPUTS = {
     "spec2.json": _spec([[0.7, 0.3], [0.4, 0.6]], 30, 3),
     "spec3.json": _spec(_BIAS3, 40, 1),
@@ -82,6 +96,11 @@ INPUTS = {
     "bad-artifact.json": json.dumps({"kind": "reweight_artifact", "schema_version": 99}),
     "bad-row.jsonl": '{"probs": [0.7, 0.7], "label": 0}\n',
     "data.txt": "",
+    # density writes these with an exponent (0.0 aside) below 1e-4 and
+    # without one from 1e-4 up: zero, two subnormals, [1e-9, 1e-4) and just above
+    "small-values.jsonl": _small_value_rows([
+        0.0, 5e-324, 2.5e-310, 1e-9, 4.5e-8, 3.0517578125e-05, 9.6e-05, 9.999999999999999e-05,
+        1e-4, 1.0000000000000002e-4, 0.000100001, 0.00010001, 0.25]),
     # nested past the interpreter's recursion limit, where json raises RecursionError
     "deep.jsonl": '{"probs":%s%s,"label":0}\n' % ("[" * 100_000, "]" * 100_000),
     # a fractional K, which int() would truncate to 10
@@ -188,6 +207,11 @@ CASES = [
                                           "density", "compare", "generate"]),
     # a tau that would overflow the objective: refused before any output
     ["optimize", "d3.jsonl", *_REPORTS, "--tau", "1e308", "--out", "a3-tau-huge.json"],
+    # density's values below and just above 1e-4, renormalized, raw and reweighted
+    ["density", "small-values.jsonl", "--out", "dens-small.csv"],
+    ["density", "small-values.jsonl", "--raw", "--out", "dens-small-raw.csv"],
+    ["density", "small-values.jsonl", "--artifact", "a3-k10.json", "--raw",
+     "--out", "dens-small-a3-raw.csv"],
 ]
 
 

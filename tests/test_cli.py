@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 import warnings
@@ -13,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from cobias import cli, data
 from cobias import (
@@ -520,6 +520,7 @@ class TestOptimizeAndApply:
 
     @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
     @pytest.mark.parametrize("flag, value, message", [
+        ("--tmax", "0", "temperatures must be positive"),
         ("--tmax", "inf", "temperatures must be finite"),
         ("--tmin", "1e-320",
          "t_min / t_max underflows to 0, so the number of temperature levels is not finite"),
@@ -712,6 +713,30 @@ class TestOptimizeAndApply:
             "error: artifact schema violation: KeyError('k_points')"
         ]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "evaluation_report", "not a reweight-artifact document"),
+        ("provenance", {"seed": 0, "schedule": {}, "dataset_fingerprint": ""},
+         "artifact schema violation: dataset fingerprint absent"),
+        ("final_objective", float("nan"), "artifact schema violation: non-finite final objective"),
+    ], ids=["kind", "empty-fingerprint", "nan-objective"])
+    def test_artifact_schema_violation_is_one_error_line(
+        self, runner, small_sets, tmp_path, field, value, message
+    ):
+        opt, _ = small_sets
+        artifact = tmp_path / "a.json"
+        save_artifact(ReweightArtifact(
+            scale=WeightScale(3), selection=WeightSelection((3, 2, 3)),
+            objective_config=ObjectiveConfig(), final_objective=0.0,
+            provenance={"seed": 0, "schedule": {}, "dataset_fingerprint": "0",
+                        "created_at": None},
+        ), artifact)
+        assert runner.invoke(main, ["apply", opt, str(artifact)]).exit_code == 0
+        artifact.write_text(json.dumps({**json.loads(artifact.read_text()), field: value}))
+        result = runner.invoke(main, ["apply", opt, str(artifact)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
 
 class TestWarnings:
     @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
@@ -769,6 +794,19 @@ class TestAblate:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("sizes, message", [
+        ("a", "sizes and seeds must be comma-separated integers: "
+              "invalid literal for int() with base 10: 'a'"),
+        (",", "need at least one size and one seed"),
+    ], ids=["not-an-integer", "empty"])
+    def test_unusable_sizes_are_one_error_line(self, runner, tmp_path, sizes, message):
+        # refused before either dataset is read
+        missing = [str(tmp_path / "missing-opt.jsonl"), str(tmp_path / "missing-test.jsonl")]
+        result = runner.invoke(main, ["sweep", *missing, "--sizes", sizes])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
     def test_statistics_match_per_seed_values(self, runner, small_sets, tmp_path):
         opt, test = small_sets
         out = tmp_path / "sweep.json"
@@ -914,35 +952,50 @@ class TestDensity:
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 1 + 120
 
-    def test_bytes_equal_in_one_and_two_processes(self, runner, tmp_path, monkeypatch):
-        path = _write_dataset(tmp_path, random_dataset(np.random.default_rng(5), 301, 4))
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_rows_are_written_in_one_process_as_repr_writes_them(
+        self, runner, tmp_path, monkeypatch, raw
+    ):
+        rng = np.random.default_rng(5)
+        m = 20_000
+        probs = rng.dirichlet(np.ones(4), size=m)
+        labels = rng.integers(0, 4, size=m)
+        # a third of the true-class values spread over (1e-300, 1]: most lie below 1e-4
+        tiny = rng.random(m) < 1 / 3
+        probs[tiny, labels[tiny]] = 10.0 ** -rng.uniform(0, 300, tiny.sum())
+        ds = ProbabilityDataset.from_arrays(probs, labels, renormalize=True)
+        path = _write_dataset(tmp_path, ds)
 
-        def density(name):
-            out = tmp_path / name
-            result = runner.invoke(main, ["density", path, "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            return out.read_bytes()
+        def no_fork():
+            raise AssertionError("density started a process")
 
-        one = density("one.csv")  # 301 rows, below the fork threshold
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(cli, "_FORK_ROWS", 0)
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-        assert density("two.csv") == one
-        assert len(forks) == 1
-        # a child that fails: its half is formatted again in this process
-        with mock.patch.object(pickle, "dump", lambda *args: os._exit(1)):
-            assert density("failed-child.csv") == one
-        assert len(forks) == 2
-        with mock.patch.object(data, "_usable_cpus", lambda: 1):
-            assert density("one-cpu.csv") == one
-        monkeypatch.delattr(os, "fork")
-        assert density("no-fork.csv") == one
-        assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(one.splitlines()) == 1 + 301
+        monkeypatch.setattr(os, "fork", no_fork)
+        # a file shorter than two chunks is parsed in one process as well
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 10**9)
+        out = tmp_path / "density.csv"
+        result = runner.invoke(main, ["density", path, "--out", str(out)] + ["--raw"] * raw)
+        assert result.exit_code == 0, result.output
+        ds = load_dataset(path, "jsonl")
+        values = ds.probs[np.arange(m), ds.labels]
+        if not raw:
+            values = values / ds.probs.sum(axis=1)
+        expected = "".join(f"{label},{value!r}\n"
+                           for label, value in zip(ds.labels.tolist(), values.tolist()))
+        assert out.read_bytes() == ("class,value\n" + expected).encode()
+        assert np.count_nonzero(values < 1e-4) > m // 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @example([0.0, 5e-324, 2.2250738585072014e-308 / 3, float(np.nextafter(1e-4, 0)), 1e-4,
+              1.0])
+    def test_every_value_is_written_as_its_repr(self, tmp_path_factory, values):
+        d = tmp_path_factory.mktemp("density")
+        ds = ProbabilityDataset.from_arrays([[v, 1.0 - v] for v in values], [0] * len(values))
+        path = _write_dataset(d, ds)
+        out = d / "density.csv"
+        result = CliRunner().invoke(main, ["density", path, "--raw", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().splitlines() == ["class,value", *(f"0,{v!r}" for v in values)]
 
     def test_reweighted_values_renormalized(self, runner, small_sets, tmp_path):
         opt, _ = small_sets
@@ -1092,10 +1145,27 @@ class TestGenerateAndCompare:
                 "error: Unable to allocate 14.2 PiB for an array with shape "
                 "(1000000000000000, 2) and data type float64",
             ),
+            *(({"num_classes": 2, "samples_per_class": [4, 4],
+                "confusion_bias": [[0.7, 0.3], [0.3, 0.7]], "concentration": 5.0, "seed": 9,
+                **fields}, message) for fields, message in [
+                ({"num_classes": 1, "samples_per_class": [4], "confusion_bias": [[1.0]]},
+                 "error: num_classes must be >= 2"),
+                ({"samples_per_class": [4, 4, 4]},
+                 "error: samples_per_class length must equal num_classes"),
+                ({"samples_per_class": [4, 0]},
+                 "error: samples_per_class entries must be positive"),
+                ({"confusion_bias": [[0.7, 0.3]]}, "error: confusion_bias must be 2x2, got (1, 2)"),
+                ({"confusion_bias": [[1.2, -0.2], [0.3, 0.7]]},
+                 "error: confusion_bias entries must be nonnegative"),
+                ({"confusion_bias": [[0.7, 0.2], [0.3, 0.7]]},
+                 "error: confusion_bias rows must sum to 1 within 1e-9"),
+                ({"concentration": 0.0}, "error: concentration must be positive"),
+            ]),
         ],
         ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
              "bool-num-classes", "negative-seed", "string-concentration", "bool-bias",
-             "string-bias", "too-large-to-allocate"],
+             "string-bias", "too-large-to-allocate", "one-class", "counts-length",
+             "zero-count", "bias-shape", "negative-bias", "bias-row-sum", "zero-concentration"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"

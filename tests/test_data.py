@@ -60,6 +60,16 @@ class TestProbabilityDataset:
         with pytest.raises(ValidationError, match="at least 2 classes"):
             ProbabilityDataset.from_arrays([[1.0]], [0])
 
+    @pytest.mark.parametrize("probs, labels, message", [
+        ([0.5, 0.5], [0], "probs must be 2-dimensional, got shape (2,)"),
+        (np.zeros((0, 3)), [], "dataset must contain at least one sample"),
+        ([[0.5, 0.5]] * 2, [[0, 1]], "labels shape (1, 2) does not match 2 samples"),
+    ], ids=["1-d-probs", "no-rows", "labels-shape"])
+    def test_rejects_bad_shapes(self, probs, labels, message):
+        with pytest.raises(ValidationError) as refused:
+            ProbabilityDataset.from_arrays(probs, labels)
+        assert str(refused.value) == message
+
     def test_errors_carry_sample_index(self):
         with pytest.raises(ValidationError) as bad_sum:
             ProbabilityDataset.from_arrays([[0.5, 0.5], [0.7, 0.7]], [0, 1])
@@ -248,6 +258,14 @@ class TestLoadDataset:
         p.write_text('{"probs":[0.5,0.5],"label":0}\n')
         with pytest.raises(ValidationError, match="format"):
             load_dataset(p, "xml")
+
+    def test_unknown_format_on_save(self, tmp_path):
+        ds = ProbabilityDataset.from_arrays([[0.5, 0.5]], [0])
+        p = tmp_path / "d.xml"
+        with pytest.raises(ValidationError) as refused:
+            save_dataset(ds, p, "xml")
+        assert str(refused.value) == "unknown dataset format 'xml', expected one of ('jsonl', 'csv')"
+        assert not p.exists()
 
     def test_save_load_round_trip(self, tmp_path):
         ds = ProbabilityDataset.from_arrays(
@@ -806,6 +824,12 @@ class TestInTwo:
         pids = data._in_two(lambda: os.getpid(), lambda: os.getpid(), fork=fork)
         assert pids == (os.getpid(),) * 2
         assert forks == []
+
+    def test_a_platform_without_fork_runs_both_here(self, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        pids = data._in_two(lambda: os.getpid(), lambda: os.getpid(), fork=True)
+        assert pids == (os.getpid(),) * 2
 
 
 class TestGenerateSynthetic:

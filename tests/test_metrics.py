@@ -79,6 +79,11 @@ class TestConfusion:
         ds = ProbabilityDataset.from_arrays(probs, rng.integers(0, 3, 50))
         assert np.array_equal(confusion(ds), confusion(ds))
 
+    def test_selection_without_its_scale_is_refused(self):
+        ds = ProbabilityDataset.from_arrays([[0.9, 0.1], [0.8, 0.2]], [0, 1])
+        with pytest.raises(ValidationError, match="^a weight selection requires its scale$"):
+            confusion(ds, WeightSelection((1, 1)))
+
     def test_counts_are_a_read_only_int64_array(self):
         ds = dataset_from_confusion([[3, 1, 0], [0, 4, 2], [1, 0, 5]])
         counts = confusion(ds)
