@@ -11,10 +11,11 @@ top scale point), i.e. from the uncorrected baseline predictions.
 Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
 makes enough proposals that scoring the whole search space costs fewer row
 passes (``_tabulates``), by ``_TableEvaluator``'s lookups into
-``objective_table``'s totals. Both are built from (dataset, scale, config,
-selection) and have ``propose(c, k)``, which returns a move's total and
-changes nothing, and ``apply(c, k)``, which commits it and returns nothing.
-Both give the same totals, so a seeded run gives the same result either way.
+``objective_table``'s totals. Both follow one protocol: built from
+(dataset, scale, config, selection); holds ``indices``; ``propose`` returns
+a float; ``apply`` returns None. ``indices`` is the chain's only copy of its
+selection, which only ``apply`` changes. Both give the same totals, so a
+seeded run gives the same result either way.
 The start's value and the returned value are reference evaluations; a run
 raises if the returned total is not the chain's best total.
 """
@@ -150,18 +151,18 @@ class _TableEvaluator:
         n, k = dataset.num_classes, scale.k_points
         self._totals = objective_table(dataset, scale, config)
         self._strides = [k ** (n - 1 - c) for c in range(n)]
-        self._indices = list(selection.indices)
-        self._flat = sum((i - 1) * s for i, s in zip(self._indices, self._strides))
+        self.indices = list(selection.indices)
+        self._flat = sum((i - 1) * s for i, s in zip(self.indices, self._strides))
 
     def _moved(self, class_index: int, new_index: int) -> int:
-        return self._flat + (new_index - self._indices[class_index]) * self._strides[class_index]
+        return self._flat + (new_index - self.indices[class_index]) * self._strides[class_index]
 
     def propose(self, class_index: int, new_index: int) -> float:
         return self._totals.item(self._moved(class_index, new_index))
 
     def apply(self, class_index: int, new_index: int) -> None:
         self._flat = self._moved(class_index, new_index)
-        self._indices[class_index] = new_index
+        self.indices[class_index] = new_index
 
 
 def _tabulates(num_classes: int, k_points: int, schedule: AnnealSchedule) -> bool:
@@ -222,7 +223,6 @@ def anneal(
         return AnnealResult(init, init_value, (), evaluations)
 
     rng = np.random.default_rng(schedule.seed)
-    indices = np.asarray(init.indices, dtype=np.int64)
     current = best = init_value.total
     best_selection = init
     proposal_limit = schedule.proposals_per_temperature(n, k)
@@ -234,19 +234,18 @@ def anneal(
         proposals = 0
         accepted = 0
         while proposals < proposal_limit and accepted < accept_limit:
-            c, new_index = _draw_move(rng, indices, k)
+            c, new_index = _draw_move(rng, evaluator.indices, k)
             candidate = evaluator.propose(c, new_index)
             evaluations += 1
             proposals += 1
             dz = candidate - current
             if dz <= 0 or rng.random() < math.exp(-dz / temperature):
                 evaluator.apply(c, new_index)
-                indices[c] = new_index
                 current = candidate
                 accepted += 1
                 if candidate < best:
                     best = candidate
-                    best_selection = WeightSelection(tuple(int(i) for i in indices))
+                    best_selection = WeightSelection(tuple(evaluator.indices))
         if records and best > records[-1]["best"]:
             raise AssertionError("best objective increased; annealer invariant broken")
         records.append({

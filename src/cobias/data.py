@@ -182,6 +182,13 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
+def _json_rows(value, name: str) -> tuple[tuple[float, ...], ...]:
+    # iterating a number or a flat list would fail with Python's message, naming no field
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise TypeError(f"{name} must be a list of rows, each a list of numbers")
+    return tuple(tuple(_json_number(x, name) for x in row) for row in value)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic biased dataset.
@@ -206,6 +213,9 @@ class SyntheticSpec:
             raise ValidationError("samples_per_class length must equal num_classes")
         if any(c < 1 for c in self.samples_per_class):
             raise ValidationError("samples_per_class entries must be positive")
+        for row in self.confusion_bias:  # numpy's message for a ragged matrix names no field
+            if len(row) != n:
+                raise ValidationError(f"confusion_bias must be {n}x{n}, got a row of {len(row)}")
         bias = np.asarray(self.confusion_bias, dtype=np.float64)
         if bias.shape != (n, n):
             raise ValidationError(f"confusion_bias must be {n}x{n}, got {bias.shape}")
@@ -228,8 +238,7 @@ class SyntheticSpec:
                 samples_per_class=tuple(
                     _json_integer(c, "samples_per_class") for c in doc["samples_per_class"]
                 ),
-                confusion_bias=tuple(tuple(_json_number(x, "confusion_bias") for x in row)
-                                     for row in doc["confusion_bias"]),
+                confusion_bias=_json_rows(doc["confusion_bias"], "confusion_bias"),
                 concentration=_json_number(doc["concentration"], "concentration"),
                 seed=_json_integer(doc["seed"], "seed"),
             )

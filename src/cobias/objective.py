@@ -248,15 +248,16 @@ class IncrementalEvaluator:
     """Cached evaluation state for single-class weight changes.
 
     The cache holds a contiguous class-major copy of the probabilities
-    (``probs.T``, shape N x M), the current scale indices, each row's argmax
-    prediction and maximum weighted score, and the confusion counts. A move
-    changes one class c's weight, and only rows whose prediction can change
-    are touched:
+    (``probs.T``, shape N x M), the current scale indices ``indices``, each
+    row's argmax prediction and maximum weighted score, and the confusion
+    counts. A move changes one class c's weight, and only rows whose
+    prediction can change are touched:
 
-    * weight up: rows predicting c keep c (only their maximum grows). Any
-      other row switches to c exactly when the new score ``p[c] * w`` beats
-      its maximum, or equals it and c has the lower index, which is argmax's
-      first-index tie rule. No argmax is run.
+    * weight up: only rows whose new score ``p[c] * w`` reaches their
+      maximum can change, and it becomes their maximum. A row predicting c
+      keeps c; another switches to c exactly when the score beats its
+      maximum, or equals it and c has the lower index (argmax's first-index
+      tie rule). No argmax is run.
     * weight down: only rows predicting c can change; those rows alone are
       re-argmaxed, reducing ``probs_t[j, rows] * w[j]`` one class at a time.
       A no-op move takes this path and reproduces the cached rows.
@@ -270,8 +271,9 @@ class IncrementalEvaluator:
     warnings issued, once per evaluator rather than once per proposal.
 
     A single solver run owns the cache. It follows the annealer's evaluator
-    protocol: ``propose`` is side-effect free and returns the objective
-    total, and ``apply`` commits a move and returns nothing.
+    protocol: built from (dataset, scale, config, selection); holds
+    ``indices``; ``propose`` returns a float; ``apply`` returns None.
+    ``propose`` changes nothing, and ``apply`` commits the rows it found.
     """
 
     def __init__(
@@ -284,18 +286,18 @@ class IncrementalEvaluator:
         selection.validate(dataset.num_classes, scale)
         n = dataset.num_classes
         self._k = scale.k_points
-        self._indices = np.asarray(selection.indices, dtype=np.int64)
+        self.indices = np.asarray(selection.indices, dtype=np.int64)
         self._probs_t = np.ascontiguousarray(dataset.probs.T)
         self._label_base = dataset.labels * n
-        self._preds, self._row_max = _argmax(self._probs_t, self._indices / self._k)
+        self._preds, self._row_max = _argmax(self._probs_t, self.indices / self._k)
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._objective = _Objective(self._counts.sum(axis=1), config)
         self._total = self._objective(self._counts).total
         self._pending = None
 
     def _check_move(self, class_index: int, new_index: int) -> None:
-        if not 0 <= class_index < self._indices.size:
-            raise ValidationError(f"class index {class_index} outside [0, {self._indices.size - 1}]")
+        if not 0 <= class_index < self.indices.size:
+            raise ValidationError(f"class index {class_index} outside [0, {self.indices.size - 1}]")
         if not 1 <= new_index <= self._k:
             raise ValidationError(f"scale index {new_index} outside [1, {self._k}]")
 
@@ -303,18 +305,15 @@ class IncrementalEvaluator:
         """Objective total with one class's weight changed; state untouched."""
         self._check_move(class_index, new_index)
         c = class_index
-        weights = self._indices / self._k
+        weights = self.indices / self._k
         weights[c] = new_index / self._k
-        if new_index > self._indices[c]:
+        if new_index > self.indices[c]:
             new_col = self._probs_t[c] * weights[c]
-            cand = np.flatnonzero(new_col >= self._row_max)
-            old = self._preds[cand]
-            stay = old == c
-            flip = ~stay & ((new_col[cand] > self._row_max[cand]) | (c < old))
-            rows = cand[stay | flip]
-            new_preds = c
+            rows = np.flatnonzero(new_col >= self._row_max)
             new_max = new_col[rows]
-            changed, old, new = cand[flip], old[flip], c
+            old = self._preds[rows]
+            flip = (old != c) & ((new_max > self._row_max[rows]) | (c < old))
+            changed, old, new = rows[flip], old[flip], c
         else:
             rows = np.flatnonzero(self._preds == c)
             new_preds, new_max = _argmax(np.take(self._probs_t, rows, axis=1), weights)
@@ -328,7 +327,7 @@ class IncrementalEvaluator:
             total = self._objective(counts).total
         else:
             counts, total = self._counts, self._total
-        self._pending = (c, new_index, rows, new_preds, new_max, counts, total)
+        self._pending = (c, new_index, changed, new, rows, new_max, counts, total)
         return total
 
     def apply(self, class_index: int, new_index: int) -> None:
@@ -337,10 +336,10 @@ class IncrementalEvaluator:
         if pending is None or pending[0] != class_index or pending[1] != new_index:
             self.propose(class_index, new_index)
             pending = self._pending
-        c, idx, rows, new_preds, new_max, counts, total = pending
+        c, idx, changed, new, rows, new_max, counts, total = pending
         self._pending = None
-        self._indices[c] = idx
-        self._preds[rows] = new_preds
+        self.indices[c] = idx
+        self._preds[changed] = new
         self._row_max[rows] = new_max
         self._counts = counts
         self._total = total

@@ -170,7 +170,10 @@ class TestTabulation:
         # Multiples of 1/8 times weights k/4 tie exactly, and the last label
         # never occurs. The same seeded walk proposes then commits one move,
         # proposes one and commits another, and commits without a proposal;
-        # every proposal is the reference total and every commit returns None.
+        # every proposal is the reference total, every commit returns None
+        # and leaves ``indices`` on the committed selection, and an
+        # IncrementalEvaluator's cached predictions and maxima are a fresh
+        # argmax's, ties where c has the higher index included.
         rng = np.random.default_rng(61)
         n, scale, cfg = 4, WeightScale(4), ObjectiveConfig()
         probs = rng.multinomial(8, np.full(n, 1 / n), size=80) / 8
@@ -188,6 +191,11 @@ class TestTabulation:
                     assert evaluator.propose(c, proposed) == want
                 assert evaluator.apply(c, idx) is None
                 indices[c] = idx
+                assert list(evaluator.indices) == indices
+                if kind is objective.IncrementalEvaluator:
+                    preds, row_max = objective._argmax(evaluator._probs_t, np.array(indices) / 4)
+                    assert np.array_equal(evaluator._preds, preds)
+                    assert np.array_equal(evaluator._row_max, row_max)
             final = reference_evaluation(ds, WeightSelection(tuple(indices)), scale, cfg).total
             assert evaluator.propose(0, indices[0]) == final
 

@@ -1155,6 +1155,11 @@ class TestGenerateAndCompare:
                 ({"samples_per_class": [4, 0]},
                  "error: samples_per_class entries must be positive"),
                 ({"confusion_bias": [[0.7, 0.3]]}, "error: confusion_bias must be 2x2, got (1, 2)"),
+                ({"confusion_bias": [[0.7, 0.3], [1.0]]},
+                 "error: confusion_bias must be 2x2, got a row of 1"),
+                ({"confusion_bias": [0.5, 0.5]},
+                 "error: synthetic spec has an invalid value: confusion_bias must be a list of "
+                 "rows, each a list of numbers"),
                 ({"confusion_bias": [[1.2, -0.2], [0.3, 0.7]]},
                  "error: confusion_bias entries must be nonnegative"),
                 ({"confusion_bias": [[0.7, 0.2], [0.3, 0.7]]},
@@ -1165,7 +1170,8 @@ class TestGenerateAndCompare:
         ids=["list", "non-numeric-num-classes", "fractional-counts", "fractional-seed",
              "bool-num-classes", "negative-seed", "string-concentration", "bool-bias",
              "string-bias", "too-large-to-allocate", "one-class", "counts-length",
-             "zero-count", "bias-shape", "negative-bias", "bias-row-sum", "zero-concentration"],
+             "zero-count", "bias-shape", "ragged-bias", "flat-bias", "negative-bias",
+             "bias-row-sum", "zero-concentration"],
     )
     def test_generate_malformed_spec_is_one_error_line(self, runner, tmp_path, spec, message):
         spec_path = tmp_path / "spec.json"

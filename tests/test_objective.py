@@ -360,7 +360,7 @@ class TestIncrementalEvaluator:
         state.propose(0, 1)
         state.propose(1, 2)
         assert (state._counts == confusion(ds, sel, scale)).all()
-        assert state._indices.tolist() == [5, 5, 5]
+        assert state.indices.tolist() == [5, 5, 5]
         assert state.propose(2, 5) == reference_evaluation(ds, sel, scale, cfg).total
 
     def test_propose_matches_full_evaluation(self):

@@ -48,3 +48,7 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'cobias' has no attribute 'no_such_name'"):
         cobias.no_such_name
     assert not hasattr(cobias, "no_such_name")
+
+
+def test_dir_lists_every_export():
+    assert set(cobias.__all__) <= set(dir(cobias))
