@@ -16,13 +16,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "annealer": ("AnnealResult", "AnnealSchedule", "anneal", "predicted_complexity"),
     "baselines": ("batch_calibrate", "compare_methods"),
-    "data": ("ProbabilityDataset", "ReweightArtifact", "SyntheticSpec", "WeightScale",
-             "WeightSelection", "generate_synthetic", "load_artifact", "load_dataset",
-             "save_artifact", "save_dataset"),
+    "data": ("ObjectiveConfig", "ProbabilityDataset", "ReweightArtifact", "SyntheticSpec",
+             "WeightScale", "WeightSelection", "generate_synthetic", "load_artifact",
+             "load_dataset", "save_artifact", "save_dataset"),
     "errors": ("ArtifactError", "DatasetFormatError", "ValidationError"),
     "metrics": ("class_report", "cobias", "cobias_single", "confusion", "odd_classes",
                 "report_document"),
-    "objective": ("ObjectiveConfig", "ObjectiveValue"),
+    "objective": ("ObjectiveValue",),
     "oracle": ("enumerate_optimum",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

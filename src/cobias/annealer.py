@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ProbabilityDataset, WeightScale, WeightSelection
+from .data import ObjectiveConfig, ProbabilityDataset, WeightScale, WeightSelection
 from .defaults import DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .errors import ValidationError
 from .metrics import confusion
-from .objective import (IncrementalEvaluator, ObjectiveConfig, ObjectiveValue,
-                        objective_from_counts, objective_table)
-from .oracle import DEFAULT_BUDGET
+from .objective import (DEFAULT_BUDGET, IncrementalEvaluator, ObjectiveValue, objective_from_counts,
+                        objective_table)
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def _tabulates(num_classes: int, k_points: int, schedule: AnnealSchedule) -> boo
     at least three (an up move's multiply, compare and ``flatnonzero``), and
     a run makes at least P_min, the level count times the smaller of the
     acceptance and proposal limits. So the table is built when
-    K^(N-1) * (N-1+K) <= 3 * P_min and the space fits the oracle's budget.
+    K^(N-1) * (N-1+K) <= 3 * P_min and the space fits the table's budget.
     """
     n, k = num_classes, k_points
     fewest = schedule.outer_iterations() * min(

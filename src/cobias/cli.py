@@ -36,11 +36,11 @@ def _bind_numeric_names() -> None:
 
     from .annealer import AnnealSchedule, anneal, predicted_complexity
     from .baselines import compare_methods
-    from .data import (ProbabilityDataset, ReweightArtifact, SyntheticSpec, WeightScale,
-                       _stratified_subsample, generate_synthetic, load_artifact, load_dataset,
-                       read_json, save_artifact, save_dataset)
+    from .data import (ObjectiveConfig, ProbabilityDataset, ReweightArtifact, SyntheticSpec,
+                       WeightScale, _stratified_subsample, generate_synthetic, load_artifact,
+                       load_dataset, read_json, save_artifact, save_dataset)
     from .metrics import check_mu, class_report, report_document
-    from .objective import ObjectiveConfig, check_config
+    from .objective import check_config
 
     for name, value in locals().items():
         globals().setdefault(name, value)
@@ -362,10 +362,11 @@ def optimize(optimization_path, out_path, trace_path, timestamp, fmt, renormaliz
             "created_at": datetime.now(timezone.utc).isoformat() if timestamp else None,
         },
     )
+    if trace_path:  # the artifact last, so one on disk means the run finished
+        Path(trace_path).write_text("".join(json.dumps(r) + "\n" for r in result.records))
     save_artifact(artifact, out_path)
     click.echo(f"artifact written to {out_path}")
     if trace_path:
-        Path(trace_path).write_text("".join(json.dumps(r) + "\n" for r in result.records))
         click.echo(f"trace written to {trace_path}")
 
 

@@ -3,6 +3,7 @@
 A probability dataset is a matrix of per-sample class probabilities plus
 integer ground-truth labels. Correction weights live on a discrete K-point
 scale; a selection assigns one scale index to each class. Learned selections
+and the objective config (term weights and flags) they were learned under
 are persisted as versioned JSON artifacts.
 """
 
@@ -18,17 +19,13 @@ import pickle
 import re
 import signal
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .defaults import DATASET_FORMATS
+from .defaults import DATASET_FORMATS, DEFAULT_BETA, DEFAULT_MU, DEFAULT_TAU, TERM_COMBINATIONS
 from .errors import ArtifactError, DatasetFormatError, ValidationError
-
-if TYPE_CHECKING:  # avoids a circular import; objective.py depends on this module
-    from .objective import ObjectiveConfig
 
 PROB_SUM_TOL = 1e-6
 ARTIFACT_SCHEMA_VERSION = 1
@@ -622,8 +619,56 @@ def save_dataset(dataset: ProbabilityDataset, path, fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reweighting artifacts
+# Objective config and reweighting artifacts
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ObjectiveConfig:
+    """Term weights and per-term enable flags."""
+
+    beta: float = DEFAULT_BETA
+    tau: float = DEFAULT_TAU
+    mu: float = DEFAULT_MU
+    use_z1: bool = True
+    use_z2: bool = True
+    use_z3: bool = True
+
+    def __post_init__(self):
+        if self.beta < 0 or self.tau < 0 or self.mu < 0:
+            raise ValidationError("beta, tau, and mu must be nonnegative")
+        if not all(math.isfinite(v) for v in (self.beta, self.tau, self.mu)):
+            # NaN slips past "< 0", and either would end in a non-finite objective
+            raise ValidationError("beta, tau, and mu must be finite")
+        if not (self.use_z1 or self.use_z2 or self.use_z3):
+            raise ValidationError("at least one objective term must be enabled")
+        if self.use_z3 and self.mu == 0:
+            # an unsmoothed PMI is undefined as soon as a move empties a count
+            raise ValidationError("mu must be positive when the PMI term z3 is enabled")
+
+    @classmethod
+    def with_terms(cls, terms: str, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU,
+                   mu: float = DEFAULT_MU) -> "ObjectiveConfig":
+        """Build a config from one of the named term combinations."""
+        if terms not in TERM_COMBINATIONS:
+            raise ValidationError(
+                f"unknown term combination {terms!r}; expected one of "
+                f"{', '.join(TERM_COMBINATIONS)}"
+            )
+        (z1, z2, z3), _ = TERM_COMBINATIONS[terms]
+        return cls(beta=beta, tau=tau, mu=mu, use_z1=z1, use_z2=z2, use_z3=z3)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ObjectiveConfig":
+        flags = {name: doc[name] for name in ("use_z1", "use_z2", "use_z3")}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
+        weights = {name: _json_number(doc[name], name) for name in ("beta", "tau", "mu")}
+        return cls(**weights, **flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,7 +683,7 @@ class ReweightArtifact:
 
     scale: WeightScale
     selection: WeightSelection
-    objective_config: "ObjectiveConfig"
+    objective_config: ObjectiveConfig
     final_objective: float
     provenance: dict
     coefficients: np.ndarray = field(init=False)
@@ -671,8 +716,6 @@ def save_artifact(artifact: ReweightArtifact, path) -> None:
 
 def load_artifact(path) -> ReweightArtifact:
     """Load an artifact, rejecting version or schema violations outright."""
-    from .objective import ObjectiveConfig
-
     doc = read_json(path, "artifact file", ArtifactError)
     if not isinstance(doc, dict) or doc.get("kind") != "reweight_artifact":
         raise ArtifactError("not a reweight-artifact document")

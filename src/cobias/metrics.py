@@ -94,6 +94,16 @@ def _pairwise_gap(acc: np.ndarray, weights: np.ndarray, pairs: float) -> np.ndar
     return ((a - a[..., :1]) * weights).sum(axis=-1) / pairs
 
 
+_LEAST_POSITIVE = float(np.nextafter(0.0, 1.0))
+
+
+def _nonzero_if_unequal(mean: float, unequal: bool) -> float:
+    """``mean`` of nonnegative gaps, kept positive when some gap is: a mean
+    below the least subnormal (say of gaps 5e-324 over several pairs) rounds
+    to 0, which would read as all accuracies equal."""
+    return _LEAST_POSITIVE if unequal and mean == 0.0 else mean
+
+
 def cobias(per_class) -> float:
     """Mean absolute pairwise accuracy difference.
 
@@ -105,7 +115,9 @@ def cobias(per_class) -> float:
         raise ValidationError("need accuracies for at least 2 classes")
     defined = vals[~np.isnan(vals)]
     gap = _gap_weights(defined.size, vals.size)
-    return 0.0 if gap is None else float(_pairwise_gap(defined, *gap))
+    if gap is None:
+        return 0.0
+    return _nonzero_if_unequal(float(_pairwise_gap(defined, *gap)), defined.max() > defined.min())
 
 
 def odd_classes(counts: np.ndarray) -> tuple[int | None, ...]:
@@ -132,7 +144,9 @@ def cobias_single(per_class, odd: tuple[int | None, ...]) -> float:
             "pairs involving classes without true samples excluded from the odd-class gap",
             stacklevel=2,
         )
-    return float(sum(gaps) / len(gaps)) if gaps else 0.0
+    if not gaps:
+        return 0.0
+    return _nonzero_if_unequal(float(sum(gaps) / len(gaps)), any(gaps))
 
 
 def check_mu(mu: float, class_totals: np.ndarray | None = None) -> float | None:

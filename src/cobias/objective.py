@@ -29,62 +29,13 @@ check of each is the reference, whose ``confusion`` runs ``np.argmax``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ProbabilityDataset, WeightScale, WeightSelection, _json_number
-from .defaults import DEFAULT_BETA, DEFAULT_MU, DEFAULT_TAU, TERM_COMBINATIONS
+from .data import ObjectiveConfig, ProbabilityDataset, WeightScale, WeightSelection
 from .errors import ValidationError
 from .metrics import _gap_weights, _pairwise_gap, _pmi, check_mu, counts_from_predictions
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    """Term weights and per-term enable flags."""
-
-    beta: float = DEFAULT_BETA
-    tau: float = DEFAULT_TAU
-    mu: float = DEFAULT_MU
-    use_z1: bool = True
-    use_z2: bool = True
-    use_z3: bool = True
-
-    def __post_init__(self):
-        if self.beta < 0 or self.tau < 0 or self.mu < 0:
-            raise ValidationError("beta, tau, and mu must be nonnegative")
-        if not all(math.isfinite(v) for v in (self.beta, self.tau, self.mu)):
-            # NaN slips past "< 0", and either would end in a non-finite objective
-            raise ValidationError("beta, tau, and mu must be finite")
-        if not (self.use_z1 or self.use_z2 or self.use_z3):
-            raise ValidationError("at least one objective term must be enabled")
-        if self.use_z3 and self.mu == 0:
-            # an unsmoothed PMI is undefined as soon as a move empties a count
-            raise ValidationError("mu must be positive when the PMI term z3 is enabled")
-
-    @classmethod
-    def with_terms(cls, terms: str, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU,
-                   mu: float = DEFAULT_MU) -> "ObjectiveConfig":
-        """Build a config from one of the named term combinations."""
-        if terms not in TERM_COMBINATIONS:
-            raise ValidationError(
-                f"unknown term combination {terms!r}; expected one of "
-                f"{', '.join(TERM_COMBINATIONS)}"
-            )
-        (z1, z2, z3), _ = TERM_COMBINATIONS[terms]
-        return cls(beta=beta, tau=tau, mu=mu, use_z1=z1, use_z2=z2, use_z3=z3)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ObjectiveConfig":
-        flags = {name: doc[name] for name in ("use_z1", "use_z2", "use_z3")}
-        for name, value in flags.items():
-            if not isinstance(value, bool):
-                raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
-        weights = {name: _json_number(doc[name], name) for name in ("beta", "tau", "mu")}
-        return cls(**weights, **flags)
 
 
 @dataclass(frozen=True)
@@ -182,8 +133,9 @@ def _argmax(probs_t: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     return preds, best
 
 
-# Bytes of row-sized temporaries, summed over one chunk of prefixes, that
-# ``objective_table`` aims for.
+# The most selections ``objective_table`` scores, and the bytes of row-sized
+# temporaries, summed over one chunk of prefixes, that it aims for.
+DEFAULT_BUDGET = 10**6
 _TABLE_CHUNK_BYTES = 1 << 20
 
 
@@ -194,7 +146,8 @@ def objective_table(
 ) -> np.ndarray:
     """The objective total of all K^N selections, in ``itertools.product``
     order (the last class's index varies fastest), as one (K^N,) float64
-    array.
+    array. Refuses a K^N above ``DEFAULT_BUDGET`` before it allocates
+    anything; the refusal message carries the exact selection count.
 
     A threshold sweep per prefix, the first N-1 indices: reducing those
     classes one at a time with a strict ">" gives each row's prediction and
@@ -212,6 +165,10 @@ def objective_table(
     so the K^N matrices never exist at once.
     """
     n, k, m = dataset.num_classes, scale.k_points, dataset.num_samples
+    if k**n > DEFAULT_BUDGET:
+        raise ValidationError(
+            f"enumeration would evaluate {k**n} selections, above the budget of {DEFAULT_BUDGET}"
+        )
     probs_t = np.ascontiguousarray(dataset.probs.T)
     true_totals = np.bincount(dataset.labels, minlength=n)
     objective = _Objective(true_totals, config)

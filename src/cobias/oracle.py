@@ -15,12 +15,9 @@ import warnings
 
 import numpy as np
 
-from .data import ProbabilityDataset, WeightScale, WeightSelection
-from .errors import ValidationError
+from .data import ObjectiveConfig, ProbabilityDataset, WeightScale, WeightSelection
 from .metrics import confusion
-from .objective import ObjectiveConfig, ObjectiveValue, objective_from_counts, objective_table
-
-DEFAULT_BUDGET = 10**6
+from .objective import ObjectiveValue, objective_from_counts, objective_table
 
 
 def enumerate_optimum(
@@ -30,20 +27,14 @@ def enumerate_optimum(
 ) -> tuple[WeightSelection, ObjectiveValue]:
     """Evaluate every selection and return the global minimum.
 
-    Refuses instances with K^N above ``DEFAULT_BUDGET``, before the table is
-    built; the refusal message carries the exact selection count.
-    The first minimum in ``itertools.product`` order is the smallest
-    selection; its value is evaluated again from its confusion counts, with
-    warnings ignored (the table has issued the dataset's), and a total that
-    differs from the table's raises.
+    ``objective_table`` refuses a K^N above ``DEFAULT_BUDGET`` before it
+    builds anything. The first minimum in ``itertools.product`` order is the
+    smallest selection; its value is evaluated again from its confusion
+    counts, with warnings ignored (the table has issued the dataset's), and a
+    total that differs from the table's raises.
     """
     n = dataset.num_classes
     k = scale.k_points
-    count = k**n
-    if count > DEFAULT_BUDGET:
-        raise ValidationError(
-            f"enumeration would evaluate {count} selections, above the budget of {DEFAULT_BUDGET}"
-        )
     totals = objective_table(dataset, scale, config)
     best = int(np.argmin(totals))
     selection = WeightSelection(tuple(int(d) + 1 for d in np.unravel_index(best, (k,) * n)))

@@ -29,7 +29,7 @@ from cobias import (
 )
 from cobias import annealer
 from cobias.cli import main as cli_main
-from cobias.objective import TERM_COMBINATIONS
+from cobias.defaults import TERM_COMBINATIONS
 
 from helpers import (
     REFERENCE_COUNTS,

@@ -16,7 +16,7 @@ from cobias import (
 )
 from cobias import annealer, objective
 from cobias.annealer import _draw_move, _tabulates
-from cobias.objective import TERM_COMBINATIONS
+from cobias.defaults import TERM_COMBINATIONS
 
 from helpers import random_dataset, reference_evaluation
 

@@ -400,6 +400,17 @@ class TestOptimizeAndApply:
         rec = json.loads(lines[0])
         assert rec["iteration"] == 0
 
+    def test_a_trace_that_cannot_be_written_leaves_no_artifact(self, runner, small_sets, tmp_path):
+        # the artifact is written last, so one on disk means the run finished
+        opt, _ = small_sets
+        out, trace = tmp_path / "a.json", tmp_path / "nodir" / "t.jsonl"
+        result = runner.invoke(main, ["optimize", opt, "--k", "3", "--tmax", "10", "--tmin", "1",
+                                      "--out", str(out), "--trace", str(trace)])
+        assert result.exit_code == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+        assert not out.exists()
+
     def test_k1_apply_reproduces_evaluate_bit_for_bit(self, runner, small_sets, tmp_path):
         opt, _ = small_sets
         artifact = tmp_path / "identity.json"

@@ -110,6 +110,10 @@ class TestCobias:
     def test_two_class_extreme(self):
         assert cobias([1.0, 0.0]) == 1.0
 
+    def test_unequal_subnormal_accuracies_stay_positive(self):
+        # the exact mean, 5e-324 / 2, lies below the least subnormal
+        assert cobias([0.0, 5e-324, 5e-324, 5e-324]) == 5e-324
+
     def test_matches_pair_enumeration_on_random_vectors(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -180,6 +184,10 @@ class TestCobiasSingle:
     def test_all_none_is_zero(self):
         # a perfectly diagonal confusion matrix has no odd class at all
         assert cobias_single([1.0, 1.0], (None, None)) == 0.0
+
+    def test_unequal_subnormal_pair_stays_positive(self):
+        # one gap of 5e-324 and two of 0: the exact mean rounds to 0
+        assert cobias_single([0.0, 5e-324, 0.0], (2, 0, 0)) == 5e-324
 
 
 class TestPmi:

@@ -19,8 +19,8 @@ from cobias import (
 from cobias.metrics import accuracy_from_counts, check_mu, cobias, confusion, pmi_from_counts
 from cobias import objective
 from cobias.annealer import _tabulates
-from cobias.objective import (TERM_COMBINATIONS, IncrementalEvaluator, _Objective, check_config,
-                              objective_table)
+from cobias.defaults import TERM_COMBINATIONS
+from cobias.objective import IncrementalEvaluator, _Objective, check_config, objective_table
 
 from helpers import random_dataset, reference_evaluation
 

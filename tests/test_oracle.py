@@ -14,8 +14,9 @@ from cobias import (
     enumerate_optimum,
 )
 
-from cobias import oracle
-from cobias.objective import TERM_COMBINATIONS
+from cobias import objective, oracle
+from cobias.defaults import TERM_COMBINATIONS
+from cobias.objective import objective_table
 
 from helpers import random_dataset, reference_evaluation
 
@@ -55,15 +56,16 @@ class TestEnumerateOptimum:
         assert val.total == 0.0
         assert sel.indices == (1, 1)
 
-    def test_budget_refusal_reports_count(self, monkeypatch):
+    @pytest.mark.parametrize("search", [enumerate_optimum, objective_table])
+    def test_budget_refusal_reports_count(self, monkeypatch, search):
         # 1001^2 selections is just above the fixed budget of 10^6, and the
-        # refusal comes before any table is built
+        # refusal comes before any table is built: no prediction is made
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 10, 2)
-        monkeypatch.setattr(oracle, "objective_table", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(objective, "_argmax", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValidationError, match="evaluate 1002001 selections.* 1000000$"):
-            enumerate_optimum(ds, WeightScale(1001), ObjectiveConfig())
-        oracle.objective_table.assert_not_called()
+            search(ds, WeightScale(1001), ObjectiveConfig())
+        objective._argmax.assert_not_called()
 
     @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
     def test_matches_the_per_selection_loop(self, terms):

@@ -1,4 +1,5 @@
-"""The package exports only names that the program itself uses."""
+"""The package exports only names that the program itself uses, and its
+modules import one another in one direction."""
 
 import ast
 import sys
@@ -52,3 +53,31 @@ def test_an_unknown_name_is_an_attribute_error():
 
 def test_dir_lists_every_export():
     assert set(cobias.__all__) <= set(dir(cobias))
+
+
+# Each module may import only the modules before it. ``from . import name``
+# of a name that is not a module, such as ``__version__``, reads the package
+# itself, which every module may import.
+LAYERS = ("defaults", "errors", "data", "metrics", "objective", "annealer", "oracle",
+          "baselines", "cli")
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package's modules that a module imports anywhere in its body,
+    function-level imports included; "" stands for the package itself."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module)
+            else:
+                imported |= {a.name if a.name in LAYERS else "" for a in node.names}
+    return imported
+
+
+def test_modules_import_only_earlier_layers():
+    paths = [p for p in (ROOT / "src" / "cobias").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(p.stem for p in paths) == sorted(LAYERS)
+    backward = {p.stem: sorted(m for m in _package_imports(p)
+                               if m and LAYERS.index(m) >= LAYERS.index(p.stem)) for p in paths}
+    assert {name: later for name, later in backward.items() if later} == {}
