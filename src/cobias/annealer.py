@@ -16,8 +16,9 @@ passes (``_tabulates``), by ``_TableEvaluator``'s lookups into
 a float; ``apply`` returns None. ``indices`` is the chain's only copy of its
 selection, which only ``apply`` changes. Both give the same totals, so a
 seeded run gives the same result either way.
-The start's value and the returned value are reference evaluations; a run
-raises if the returned total is not the chain's best total.
+The evaluator scores the start as well; the returned value is the one
+reference evaluation, and a run raises if its total is not the chain's best
+total, so the check covers the start too.
 """
 
 from __future__ import annotations
@@ -77,11 +78,16 @@ class AnnealSchedule:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     def _chain_length(self, share: float, num_classes: int, k_points: int) -> int:
-        """ceil(share * lam * N * K); refuses a product that overflows."""
+        """ceil(share * lam * N * K); refuses a product that overflows or
+        underflows to 0, so every level makes at least one proposal."""
         length = share * self.lam * num_classes * k_points
         if math.isinf(length):
             raise ValidationError(f"lambda {self.lam:g} is too large for {num_classes} classes "
                                   f"and K={k_points}: the chain length lambda*N*K overflows")
+        if length == 0:
+            raise ValidationError(f"lambda {self.lam:g} is too small for {num_classes} classes "
+                                  f"and K={k_points}: the chain length {share:g}*lambda*N*K "
+                                  "underflows to 0")
         return math.ceil(length)
 
     def proposals_per_temperature(self, num_classes: int, k_points: int) -> int:
@@ -201,34 +207,24 @@ def anneal(
     Deterministic given the schedule seed. The best-so-far objective is
     non-increasing over the whole run, temperatures follow
     t_max * alpha**iteration exactly, and the total proposal count never
-    exceeds ``predicted_complexity``. The value returned is the reference
-    evaluation of the best selection; a best total that differs raises.
+    exceeds ``predicted_complexity``. The evaluator scores the start and
+    every proposal; the value returned is the reference evaluation of the
+    best selection, and a best total that differs raises.
     """
     n = dataset.num_classes
     k = scale.k_points
     init = WeightSelection.identity(n, scale)
     evaluator_type = _TableEvaluator if _tabulates(n, k, schedule) else IncrementalEvaluator
     evaluator = evaluator_type(dataset, scale, config, init)
+    current = best = evaluator.propose(0, k)  # class 0 to the index it holds: the start's total
     evaluations = 1
-
-    def reference(selection: WeightSelection) -> ObjectiveValue:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the evaluator has issued the dataset's warnings
-            return objective_from_counts(confusion(dataset, selection, scale), config)
-
-    init_value = reference(init)
-    if k == 1:
-        # Singleton search space: the initial selection is the only one.
-        return AnnealResult(init, init_value, (), evaluations)
-
-    rng = np.random.default_rng(schedule.seed)
-    current = best = init_value.total
     best_selection = init
+    rng = np.random.default_rng(schedule.seed)
     proposal_limit = schedule.proposals_per_temperature(n, k)
     accept_limit = schedule.acceptances_per_temperature(n, k)
     records = []
 
-    for t in range(schedule.outer_iterations()):
+    for t in range(schedule.outer_iterations() if k > 1 else 0):  # one point: no move to draw
         temperature = schedule.temperature(t)
         proposals = 0
         accepted = 0
@@ -252,10 +248,12 @@ def anneal(
             "temperature": temperature,
             "current": current,
             "best": best,
-            "acceptance_rate": accepted / proposals if proposals else 0.0,
+            "acceptance_rate": accepted / proposals,
         })
 
-    best_value = reference(best_selection)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the evaluator has issued the dataset's warnings
+        best_value = objective_from_counts(confusion(dataset, best_selection, scale), config)
     if best_value.total != best:
         raise AssertionError("the evaluator's best total differs from the reference evaluation")
     return AnnealResult(best_selection, best_value, tuple(records), evaluations)

@@ -208,6 +208,7 @@ def _anneals(dataset: ProbabilityDataset, scale: WeightScale,
     checked = []
     for config, schedule, size in tasks:
         predicted_complexity(n, scale.k_points, schedule)  # refuses a chain length that overflows
+        schedule.acceptances_per_temperature(n, scale.k_points)  # or that underflows to 0
         with warnings.catch_warnings(record=True) as drawn:
             warnings.simplefilter("always")
             rows = None if size is None else _stratified_subsample(

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import re
@@ -29,6 +30,14 @@ from .errors import ArtifactError, DatasetFormatError, ValidationError
 
 PROB_SUM_TOL = 1e-6
 ARTIFACT_SCHEMA_VERSION = 1
+
+
+def _integer(value, name: str) -> int:
+    # int() would truncate 2.5; operator.index takes Python and numpy integers only
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def readonly_array(arr: np.ndarray) -> np.ndarray:
@@ -68,6 +77,14 @@ class ProbabilityDataset:
         if n < 2:
             raise ValidationError(f"dataset must have at least 2 classes, got {n}")
         try:
+            if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "biu"):
+                # int64 conversion would truncate 0.7 to 0; integer arrays skip this pass
+                floats = np.asarray(labels, dtype=np.float64)
+                fractional = np.flatnonzero(~np.isfinite(floats) | (floats != np.trunc(floats)))
+                if fractional.size:
+                    bad = int(fractional[0])
+                    raise ValidationError(f"sample {bad}: label {float(floats.flat[bad])!r} "
+                                          "is not an integer", sample=bad)
             labels = np.array(labels, dtype=np.int64, copy=True)
         except OverflowError:
             # only numbers beyond int64 overflow; this scan runs on the error path alone
@@ -129,6 +146,7 @@ class WeightScale:
     k_points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k_points", _integer(self.k_points, "k_points"))
         if self.k_points < 1:
             raise ValidationError(f"k_points must be >= 1, got {self.k_points}")
         if self.k_points > 2**53:  # so K and every index convert to float64 exactly
@@ -142,7 +160,8 @@ class WeightSelection:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(_integer(i, "selection index") for i in self.indices)
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def identity(cls, num_classes: int, scale: WeightScale) -> "WeightSelection":

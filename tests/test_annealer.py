@@ -123,6 +123,18 @@ class TestPredictedComplexity:
         with pytest.raises(ValidationError, match="too large for 3 classes and K=30"):
             anneal(ds, WeightScale(30), ObjectiveConfig(), schedule)
 
+    def test_acceptance_limit_of_zero_is_a_validation_error(self):
+        # 0.1 * lambda underflows to 0, so no level would make a proposal;
+        # a given max_accepted leaves the proposal limit, at least 1, in charge
+        ds = random_dataset(np.random.default_rng(2), 20, 3)
+        schedule = AnnealSchedule(lam=5e-324)
+        with pytest.raises(ValidationError, match="too small for 3 classes and K=3: "
+                           "the chain length 0.1\\*lambda\\*N\\*K underflows to 0"):
+            anneal(ds, WeightScale(3), ObjectiveConfig(), schedule)
+        capped = AnnealSchedule(t_max=10.0, t_min=1.0, lam=5e-324, max_accepted=1)
+        result = anneal(ds, WeightScale(3), ObjectiveConfig(), capped)
+        assert result.total_evaluations - 1 == len(result.records) > 0
+
     def test_doubling_lambda_doubles_estimate(self):
         base = AnnealSchedule(lam=1.0)
         double = AnnealSchedule(lam=2.0)
@@ -273,6 +285,23 @@ class TestAnneal:
         propose = evaluator.propose
         monkeypatch.setattr(evaluator, "propose",
                             lambda *args: np.nextafter(propose(*args), -np.inf))
+        with pytest.raises(AssertionError, match="differs from the reference evaluation"):
+            anneal(ds, scale, ObjectiveConfig(), schedule)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_wrong_start_total_is_caught(self, k, monkeypatch):
+        # the evaluator scores the start, so a table whose no-op moves read
+        # 1e6 low makes the end-of-run reference check raise: on a one-point
+        # scale, and on a tabulated K=4 run, whose chain never proposes a no-op
+        propose = annealer._TableEvaluator.propose
+
+        def low_start(self, c, new_index):
+            return propose(self, c, new_index) - (1e6 if new_index == self.indices[c] else 0.0)
+
+        monkeypatch.setattr(annealer._TableEvaluator, "propose", low_start)
+        ds, scale = self._instance(seed=13, k=k)
+        schedule = AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
+        assert _tabulates(ds.num_classes, k, schedule)
         with pytest.raises(AssertionError, match="differs from the reference evaluation"):
             anneal(ds, scale, ObjectiveConfig(), schedule)
 

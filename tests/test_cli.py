@@ -596,12 +596,13 @@ class TestOptimizeAndApply:
         )
 
     @pytest.mark.parametrize("command", ["optimize", "ablate", "sweep", "compare"])
-    @pytest.mark.parametrize("lam", ["1e307", "1.7e308"])
-    def test_overflowing_chain_length_rejected_before_any_output(
+    @pytest.mark.parametrize("lam", ["1e307", "1.7e308", "5e-324"])
+    def test_bad_chain_length_rejected_before_any_output(
         self, runner, small_sets, tmp_path, command, lam
     ):
         # lambda*N*K (or a tenth of it, the acceptance limit) overflows a
-        # float; only the datasets give N, so the check follows the read
+        # float, or the acceptance limit underflows to 0 and no level would
+        # make a proposal; only the datasets give N, so the check follows the read
         opt, test = small_sets
         out = tmp_path / "out.json"
         args = {
@@ -613,10 +614,10 @@ class TestOptimizeAndApply:
         result = runner.invoke(main, [*args, "--lambda", lam, "--k", "30"])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr.splitlines() == [
-            f"error: lambda {float(lam):g} is too large for 3 classes and K=30: "
-            "the chain length lambda*N*K overflows"
-        ]
+        problem = ("too small for 3 classes and K=30: the chain length 0.1*lambda*N*K "
+                   "underflows to 0" if lam == "5e-324" else
+                   "too large for 3 classes and K=30: the chain length lambda*N*K overflows")
+        assert result.stderr.splitlines() == [f"error: lambda {float(lam):g} is {problem}"]
         assert not out.exists()
 
     def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):

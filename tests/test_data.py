@@ -78,6 +78,16 @@ class TestProbabilityDataset:
             ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, [0, 1, 10**30])
         assert huge_label.value.sample == 2
 
+    def test_fractional_labels_are_refused_not_truncated(self):
+        probs = [[0.5, 0.5]] * 3
+        with pytest.raises(ValidationError, match="sample 1: label 0.7 is not an integer") as bad:
+            ProbabilityDataset.from_arrays(probs, [1.0, 0.7, 1.2])
+        assert bad.value.sample == 1
+        with pytest.raises(ValidationError, match="sample 2: label nan is not an integer"):
+            ProbabilityDataset.from_arrays(probs, np.array([0.0, 1.0, np.nan]))
+        for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.int32), np.uint8([0, 1, 1])):
+            assert ProbabilityDataset.from_arrays(probs, labels).labels.tolist() == [0, 1, 1]
+
     def test_renormalize_divides_by_row_sum(self):
         ds = ProbabilityDataset.from_arrays([[0.7, 0.2]], [0], renormalize=True)
         s = 0.7 + 0.2
@@ -117,6 +127,16 @@ class TestWeightScale:
             every_point = WeightSelection(tuple(range(1, k + 1)))
             values = np.arange(1, k + 1, dtype=np.float64) / k
             assert every_point.coefficients(scale).tobytes() == values.tobytes()
+
+    def test_fractional_k_points_is_refused_not_truncated(self):
+        with pytest.raises(ValidationError, match="k_points must be an integer, got 2.5"):
+            WeightScale(2.5)
+        assert type(WeightScale(np.int64(30)).k_points) is int  # stored as a Python int
+
+    def test_fractional_indices_are_refused_not_truncated(self):
+        with pytest.raises(ValidationError, match="selection index must be an integer, got 1.5"):
+            WeightSelection((1.5, 2.9))
+        assert WeightSelection(tuple(np.array([3, 1], dtype=np.int32))).indices == (3, 1)
 
     def test_selection_validation(self):
         scale = WeightScale(5)

@@ -325,8 +325,10 @@ class TestIncrementalEvaluator:
         probs = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.8, 0.2, 0.0]])
         ds = ProbabilityDataset.from_arrays(probs, [0, 1, 0])
         scale, cfg = WeightScale(10), ObjectiveConfig()
-        state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((5, 5, 1)))
-        before = reference_evaluation(ds, WeightSelection((5, 5, 1)), scale, cfg).total
+        with pytest.warns(UserWarning, match="classes without true samples excluded"):  # class 2
+            state = IncrementalEvaluator(ds, scale, cfg, WeightSelection((5, 5, 1)))
+        with pytest.warns(UserWarning, match="classes without true samples excluded"):
+            before = reference_evaluation(ds, WeightSelection((5, 5, 1)), scale, cfg).total
         for idx in (2, 7, 10):
             assert state.propose(2, idx) == before
             state.apply(2, idx)

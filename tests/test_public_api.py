@@ -1,5 +1,5 @@
-"""The package exports only names that the program itself uses, and its
-modules import one another in one direction."""
+"""The package exports only names that the program itself uses, its
+modules import one another in one direction, and every import is used."""
 
 import ast
 import sys
@@ -81,3 +81,28 @@ def test_modules_import_only_earlier_layers():
     backward = {p.stem: sorted(m for m in _package_imports(p)
                                if m and LAYERS.index(m) >= LAYERS.index(p.stem)) for p in paths}
     assert {name: later for name, later in backward.items() if later} == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads. A name counts as read
+    where it appears as a name, or inside a string that parses as an
+    expression, such as a forward reference."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:  # prose, such as a docstring
+                pass
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_in_the_package_is_used():
+    paths = sorted((ROOT / "src" / "cobias").glob("*.py"))
+    assert [unused for path in paths for unused in _unused_imports(path)] == []
