@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,10 @@ from .objective import (DEFAULT_BUDGET, IncrementalEvaluator, ObjectiveValue, ob
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Cooling schedule and chain-length bounds.
+    """Cooling schedule and chain-length bounds; ``limits`` states a run's size.
 
-    The inner loop at each temperature stops after ceil(lam * N * K)
-    proposals or ``max_accepted`` acceptances, whichever comes first;
-    ``max_accepted=None`` defaults to ceil(0.1 * lam * N * K). The RNG is a
-    seeded PCG64 stream (one stream per run, so runs are reproducible across
-    platforms; concurrent restarts should use distinct seeds).
+    The RNG is a seeded PCG64 stream (one stream per run, so runs are
+    reproducible across platforms; concurrent restarts should use distinct seeds).
     """
 
     t_max: float = DEFAULT_T_MAX
@@ -62,7 +59,7 @@ class AnnealSchedule:
             raise ValidationError("temperatures must be finite")
         if not self.t_min < self.t_max:
             raise ValidationError("t_min must be below t_max")
-        if self.t_min / self.t_max == 0:  # log(0): outer_iterations() would raise
+        if self.t_min / self.t_max == 0:  # log(0): limits() would raise
             raise ValidationError(
                 "t_min / t_max underflows to 0, so the number of temperature levels is not finite"
             )
@@ -77,42 +74,32 @@ class AnnealSchedule:
         if self.seed < 0:  # numpy seeds a generator from nonnegative integers only
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
-    def _chain_length(self, share: float, num_classes: int, k_points: int) -> int:
-        """ceil(share * lam * N * K); refuses a product that overflows or
-        underflows to 0, so every level makes at least one proposal."""
-        length = share * self.lam * num_classes * k_points
-        if math.isinf(length):
+    def limits(self, num_classes: int, k_points: int) -> tuple[int, int, int]:
+        """(levels, proposals, acceptances): ceil(log_alpha(t_min / t_max))
+        temperature levels, each stopping after ceil(lam * N * K) proposals or
+        ``max_accepted`` acceptances, whichever comes first; ``max_accepted=None``
+        means ceil(0.1 * lam * N * K). Refuses a lam * N * K that overflows and
+        a default acceptance limit that underflows to 0, so every level makes
+        at least one proposal."""
+        levels = math.ceil(math.log(self.t_min / self.t_max) / math.log(self.alpha))
+        proposals = self.lam * num_classes * k_points
+        if math.isinf(proposals):  # the acceptance product is no larger
             raise ValidationError(f"lambda {self.lam:g} is too large for {num_classes} classes "
                                   f"and K={k_points}: the chain length lambda*N*K overflows")
-        if length == 0:
-            raise ValidationError(f"lambda {self.lam:g} is too small for {num_classes} classes "
-                                  f"and K={k_points}: the chain length {share:g}*lambda*N*K "
-                                  "underflows to 0")
-        return math.ceil(length)
-
-    def proposals_per_temperature(self, num_classes: int, k_points: int) -> int:
-        return self._chain_length(1.0, num_classes, k_points)
-
-    def acceptances_per_temperature(self, num_classes: int, k_points: int) -> int:
-        if self.max_accepted is not None:
-            return self.max_accepted
-        return self._chain_length(0.1, num_classes, k_points)
-
-    def outer_iterations(self) -> int:
-        return math.ceil(math.log(self.t_min / self.t_max) / math.log(self.alpha))
+        acceptances = self.max_accepted
+        if acceptances is None:
+            acceptances = 0.1 * self.lam * num_classes * k_points  # reordered, it can round to another ceiling
+            if acceptances == 0:
+                raise ValidationError(f"lambda {self.lam:g} is too small for {num_classes} classes "
+                                      f"and K={k_points}: the chain length 0.1*lambda*N*K "
+                                      "underflows to 0")
+        return levels, math.ceil(proposals), math.ceil(acceptances)
 
     def temperature(self, iteration: int) -> float:
         return self.t_max * self.alpha**iteration
 
     def to_dict(self) -> dict:
-        return {
-            "t_max": self.t_max,
-            "t_min": self.t_min,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "max_accepted": self.max_accepted,
-            "seed": self.seed,
-        }
+        return {("lambda" if key == "lam" else key): v for key, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -178,13 +165,13 @@ def _tabulates(num_classes: int, k_points: int, schedule: AnnealSchedule) -> boo
     per prefix of the first N-1 indices, K^(N-1) prefixes; a proposal makes
     at least three (an up move's multiply, compare and ``flatnonzero``), and
     a run makes at least P_min, the level count times the smaller of the
-    acceptance and proposal limits. So the table is built when
-    K^(N-1) * (N-1+K) <= 3 * P_min and the space fits the table's budget.
+    acceptance and proposal limits, all three from ``schedule.limits``. So
+    the table is built when K^(N-1) * (N-1+K) <= 3 * P_min and the space
+    fits the table's budget.
     """
     n, k = num_classes, k_points
-    fewest = schedule.outer_iterations() * min(
-        schedule.acceptances_per_temperature(n, k), schedule.proposals_per_temperature(n, k)
-    )
+    levels, proposals, acceptances = schedule.limits(n, k)
+    fewest = levels * min(acceptances, proposals)
     return k**n <= DEFAULT_BUDGET and k ** (n - 1) * (n - 1 + k) <= 3 * fewest
 
 
@@ -193,7 +180,8 @@ def predicted_complexity(num_classes: int, k_points: int, schedule: AnnealSchedu
 
     ceil(lam * N * K) * ceil(log_alpha(t_min / t_max))
     """
-    return schedule.proposals_per_temperature(num_classes, k_points) * schedule.outer_iterations()
+    levels, proposals, _ = schedule.limits(num_classes, k_points)
+    return levels * proposals
 
 
 def anneal(
@@ -204,15 +192,17 @@ def anneal(
 ) -> AnnealResult:
     """Search for the weight selection minimizing the objective.
 
-    Deterministic given the schedule seed. The best-so-far objective is
-    non-increasing over the whole run, temperatures follow
-    t_max * alpha**iteration exactly, and the total proposal count never
-    exceeds ``predicted_complexity``. The evaluator scores the start and
+    Deterministic given the schedule seed. ``schedule.limits`` sizes the
+    run first, so a lambda it refuses raises before any evaluation. The
+    best-so-far objective is non-increasing over the whole run, temperatures
+    follow t_max * alpha**iteration exactly, and the total proposal count
+    never exceeds ``predicted_complexity``. The evaluator scores the start and
     every proposal; the value returned is the reference evaluation of the
     best selection, and a best total that differs raises.
     """
     n = dataset.num_classes
     k = scale.k_points
+    levels, proposal_limit, accept_limit = schedule.limits(n, k)
     init = WeightSelection.identity(n, scale)
     evaluator_type = _TableEvaluator if _tabulates(n, k, schedule) else IncrementalEvaluator
     evaluator = evaluator_type(dataset, scale, config, init)
@@ -220,11 +210,9 @@ def anneal(
     evaluations = 1
     best_selection = init
     rng = np.random.default_rng(schedule.seed)
-    proposal_limit = schedule.proposals_per_temperature(n, k)
-    accept_limit = schedule.acceptances_per_temperature(n, k)
     records = []
 
-    for t in range(schedule.outer_iterations() if k > 1 else 0):  # one point: no move to draw
+    for t in range(levels if k > 1 else 0):  # one point: no move to draw
         temperature = schedule.temperature(t)
         proposals = 0
         accepted = 0

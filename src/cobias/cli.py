@@ -207,8 +207,7 @@ def _anneals(dataset: ProbabilityDataset, scale: WeightScale,
             f"size {bad[0]} outside [1, {m}]: the optimization set has {m} samples")
     checked = []
     for config, schedule, size in tasks:
-        predicted_complexity(n, scale.k_points, schedule)  # refuses a chain length that overflows
-        schedule.acceptances_per_temperature(n, scale.k_points)  # or that underflows to 0
+        schedule.limits(n, scale.k_points)  # refuses a chain length that over- or underflows
         with warnings.catch_warnings(record=True) as drawn:
             warnings.simplefilter("always")
             rows = None if size is None else _stratified_subsample(

@@ -78,17 +78,20 @@ class ProbabilityDataset:
             raise ValidationError(f"dataset must have at least 2 classes, got {n}")
         try:
             if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "biu"):
-                # int64 conversion would truncate 0.7 to 0; integer arrays skip this pass
+                # int64 conversion would truncate 0.7 to 0 and wrap a whole float
+                # beyond int64; integer arrays skip this pass
                 floats = np.asarray(labels, dtype=np.float64)
                 fractional = np.flatnonzero(~np.isfinite(floats) | (floats != np.trunc(floats)))
                 if fractional.size:
                     bad = int(fractional[0])
                     raise ValidationError(f"sample {bad}: label {float(floats.flat[bad])!r} "
                                           "is not an integer", sample=bad)
+                if not np.all((floats >= -(2.0**63)) & (floats < 2.0**63)):
+                    raise OverflowError
             labels = np.array(labels, dtype=np.int64, copy=True)
         except OverflowError:
             # only numbers beyond int64 overflow; this scan runs on the error path alone
-            bad = next(i for i, v in enumerate(labels) if not -(2**63) <= v < 2**63)
+            bad = next(i for i, v in enumerate(np.ravel(labels)) if not -(2**63) <= v < 2**63)
             raise ValidationError(
                 f"sample {bad}: label beyond the 64-bit integer range", sample=bad
             ) from None

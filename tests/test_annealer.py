@@ -44,18 +44,22 @@ class TestSchedule:
 
     def test_accepted_schedules_have_a_finite_level_count(self):
         # the smallest ratio, the alphas nearest 0 and 1, and a huge lambda:
-        # outer_iterations() and the per-level limits never raise
+        # limits() never raises and every level makes a proposal
         tiny = math.ulp(0.0)
         for t_min, t_max in [(tiny, 1.0), (1e-300, 1e7), (0.1, 200000.0)]:
             for alpha in (tiny, 0.5, 1 - 2**-53):
                 schedule = AnnealSchedule(t_max=t_max, t_min=t_min, alpha=alpha, lam=1e300)
-                assert schedule.outer_iterations() >= 1
-                assert schedule.proposals_per_temperature(2, 2) > 0
+                levels, proposals, acceptances = schedule.limits(2, 2)
+                assert levels >= 1 and proposals > 0 and acceptances > 0
 
     def test_default_acceptance_limit(self):
-        s = AnnealSchedule()
-        assert s.acceptances_per_temperature(4, 30) == math.ceil(0.1 * 5.0 * 4 * 30)
-        assert AnnealSchedule(max_accepted=7).acceptances_per_temperature(4, 30) == 7
+        assert AnnealSchedule().limits(4, 30) == (283, 600, math.ceil(0.1 * 5.0 * 4 * 30))
+        assert AnnealSchedule(max_accepted=7).limits(4, 30) == (283, 600, 7)
+        # the product runs left to right: 0.1 * 0.5 * 3 * 20 is 3.0000000000000004,
+        # where 0.1 * (0.5 * 3 * 20) would be 3.0 and give 3 acceptances
+        assert AnnealSchedule(lam=0.5).limits(3, 20)[1:] == (30, 4)
+        # a given max_accepted skips the underflow check: one of each per level
+        assert AnnealSchedule(lam=5e-324, max_accepted=1).limits(3, 3) == (283, 1, 1)
 
 
 class TestPerturb:
@@ -101,12 +105,13 @@ class TestPerturb:
 class TestPredictedComplexity:
     def test_closed_form_example(self):
         schedule = AnnealSchedule(t_max=200000.0, t_min=1.0, alpha=0.95, lam=1.0)
-        assert predicted_complexity(4, 30, schedule) == 120 * 238 == 28560
+        levels, proposals, _ = schedule.limits(4, 30)
+        assert predicted_complexity(4, 30, schedule) == levels * proposals == 238 * 120 == 28560
 
     def test_single_cooling_step(self):
         # dyadic values make t_min/t_max exactly one cooling step
         schedule = AnnealSchedule(t_max=100.0, t_min=50.0, alpha=0.5, lam=1.0)
-        assert schedule.outer_iterations() == 1
+        assert schedule.limits(2, 3)[0] == 1
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 20, 2)
         result = anneal(ds, WeightScale(3), ObjectiveConfig(), schedule)
@@ -324,7 +329,7 @@ class TestAnneal:
         assert out.exit_code == 0
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         # one line per temperature level, none for the single-point scale
-        assert len(lines) == (schedule.outer_iterations() if k > 1 else 0)
+        assert len(lines) == (schedule.limits(ds.num_classes, k)[0] if k > 1 else 0)
         assert lines == list(result.records)
         for line in lines:
             assert list(line) == ["iteration", "temperature", "current", "best", "acceptance_rate"]

@@ -620,6 +620,20 @@ class TestOptimizeAndApply:
         assert result.stderr.splitlines() == [f"error: lambda {float(lam):g} is {problem}"]
         assert not out.exists()
 
+    def test_capped_acceptances_run_a_lambda_whose_default_limit_underflows(
+        self, runner, small_sets, tmp_path
+    ):
+        # with --max-accepted the 0.1*lambda*N*K limit is never formed, so the
+        # up-front check passes and each of the 45 levels makes one proposal
+        opt, _ = small_sets
+        out = tmp_path / "a.json"
+        result = runner.invoke(main, ["optimize", opt, "--k", "3", "--tmax", "10", "--tmin", "1",
+                                      "--lambda", "5e-324", "--max-accepted", "1",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "proposals: 45 (bound 45)" in result.stdout.splitlines()
+        assert out.exists()
+
     def test_mu_zero_without_pmi_term_runs(self, runner, tmp_path):
         opt = _write_dataset(tmp_path, random_dataset(np.random.default_rng(8), 90, 3))
         out = tmp_path / "a.json"

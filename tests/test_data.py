@@ -74,9 +74,14 @@ class TestProbabilityDataset:
         with pytest.raises(ValidationError) as bad_sum:
             ProbabilityDataset.from_arrays([[0.5, 0.5], [0.7, 0.7]], [0, 1])
         assert bad_sum.value.sample == 1
-        with pytest.raises(ValidationError, match="64-bit") as huge_label:
-            ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, [0, 1, 10**30])
-        assert huge_label.value.sample == 2
+        # a whole float beyond int64 is refused as the same integer is, not
+        # cast; in labels of the wrong shape the sample is the flat position
+        for labels in ([0, 1, 10**30], np.array([0.0, 1.0, 1e300]),
+                       [[0, 1, 10**30]], np.array([[0.0, 1.0, 1e300]])):
+            with pytest.raises(ValidationError, match="^sample 2: label beyond the 64-bit "
+                               "integer range$") as huge_label:
+                ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, labels)
+            assert huge_label.value.sample == 2
 
     def test_fractional_labels_are_refused_not_truncated(self):
         probs = [[0.5, 0.5]] * 3
