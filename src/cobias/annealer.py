@@ -12,10 +12,11 @@ Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
 makes enough proposals that scoring the whole search space costs fewer row
 passes (``_tabulates``), by ``_TableEvaluator``'s lookups into
 ``objective_table``'s totals. Both follow one protocol: built from
-(dataset, scale, config, selection); holds ``indices``; ``propose`` returns
-a float; ``apply`` returns None. ``indices`` is the chain's only copy of its
-selection, which only ``apply`` changes. Both give the same totals, so a
-seeded run gives the same result either way.
+(dataset, scale, config, selection); holds ``indices``; ``propose(c, k)``
+returns a float and is the only call that names a move; ``apply()`` commits
+the move scored last and returns None. ``indices`` is the chain's only copy
+of its selection, which only ``apply`` changes. Both give the same totals,
+so a seeded run gives the same result either way.
 The evaluator scores the start as well; the returned value is the one
 reference evaluation, and a run raises if its total is not the chain's best
 total, so the check covers the start too.
@@ -131,6 +132,7 @@ class _TableEvaluator:
     The current selection is a mixed-radix flat index into the table (digit
     ``index - 1`` per class, the last class least significant), so a move
     is a stride times the index change and a proposal's total is a lookup.
+    ``propose`` keeps the move and its flat index for ``apply()``.
     """
 
     def __init__(
@@ -145,15 +147,15 @@ class _TableEvaluator:
         self._strides = [k ** (n - 1 - c) for c in range(n)]
         self.indices = list(selection.indices)
         self._flat = sum((i - 1) * s for i, s in zip(self.indices, self._strides))
-
-    def _moved(self, class_index: int, new_index: int) -> int:
-        return self._flat + (new_index - self.indices[class_index]) * self._strides[class_index]
+        self._pending = None
 
     def propose(self, class_index: int, new_index: int) -> float:
-        return self._totals.item(self._moved(class_index, new_index))
+        flat = self._flat + (new_index - self.indices[class_index]) * self._strides[class_index]
+        self._pending = (class_index, new_index, flat)
+        return self._totals.item(flat)
 
-    def apply(self, class_index: int, new_index: int) -> None:
-        self._flat = self._moved(class_index, new_index)
+    def apply(self) -> None:
+        class_index, new_index, self._flat = self._pending
         self.indices[class_index] = new_index
 
 
@@ -223,7 +225,7 @@ def anneal(
             proposals += 1
             dz = candidate - current
             if dz <= 0 or rng.random() < math.exp(-dz / temperature):
-                evaluator.apply(c, new_index)
+                evaluator.apply()
                 current = candidate
                 accepted += 1
                 if candidate < best:

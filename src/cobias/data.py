@@ -88,6 +88,8 @@ class ProbabilityDataset:
                                           "is not an integer", sample=bad)
                 if not np.all((floats >= -(2.0**63)) & (floats < 2.0**63)):
                     raise OverflowError
+            elif labels.dtype == np.uint64 and np.any(labels >= 2**63):
+                raise OverflowError  # int64 conversion would wrap it negative
             labels = np.array(labels, dtype=np.int64, copy=True)
         except OverflowError:
             # only numbers beyond int64 overflow; this scan runs on the error path alone

@@ -21,7 +21,7 @@ reference ``objective_from_counts(confusion(...), config)``:
 ``objective_table`` scores all K^N selections by a threshold sweep (the
 oracle's search, and the annealer's when that is cheaper than its chain),
 and ``IncrementalEvaluator`` scores one move at a time: ``propose`` returns
-a move's total, ``apply`` commits the move and returns nothing. Both predict
+a move's total, ``apply()`` commits the move proposed last. Both predict
 through ``_argmax``, so neither checks the other's tie rule: the independent
 check of each is the reference, whose ``confusion`` runs ``np.argmax``.
 """
@@ -230,7 +230,8 @@ class IncrementalEvaluator:
     A single solver run owns the cache. It follows the annealer's evaluator
     protocol: built from (dataset, scale, config, selection); holds
     ``indices``; ``propose`` returns a float; ``apply`` returns None.
-    ``propose`` changes nothing, and ``apply`` commits the rows it found.
+    ``propose`` changes nothing and keeps the rows it found, and ``apply()``
+    commits them: the move proposed last.
     """
 
     def __init__(
@@ -240,7 +241,6 @@ class IncrementalEvaluator:
         config: ObjectiveConfig,
         selection: WeightSelection,
     ):
-        selection.validate(dataset.num_classes, scale)
         n = dataset.num_classes
         self._k = scale.k_points
         self.indices = np.asarray(selection.indices, dtype=np.int64)
@@ -252,15 +252,9 @@ class IncrementalEvaluator:
         self._total = self._objective(self._counts).total
         self._pending = None
 
-    def _check_move(self, class_index: int, new_index: int) -> None:
-        if not 0 <= class_index < self.indices.size:
-            raise ValidationError(f"class index {class_index} outside [0, {self.indices.size - 1}]")
-        if not 1 <= new_index <= self._k:
-            raise ValidationError(f"scale index {new_index} outside [1, {self._k}]")
-
     def propose(self, class_index: int, new_index: int) -> float:
-        """Objective total with one class's weight changed; state untouched."""
-        self._check_move(class_index, new_index)
+        """Objective total with one class's weight changed. The selection and
+        cache are untouched; the move is kept for ``apply``."""
         c = class_index
         weights = self.indices / self._k
         weights[c] = new_index / self._k
@@ -287,14 +281,9 @@ class IncrementalEvaluator:
         self._pending = (c, new_index, changed, new, rows, new_max, counts, total)
         return total
 
-    def apply(self, class_index: int, new_index: int) -> None:
-        """Commit a single-class weight change."""
-        pending = self._pending
-        if pending is None or pending[0] != class_index or pending[1] != new_index:
-            self.propose(class_index, new_index)
-            pending = self._pending
-        c, idx, changed, new, rows, new_max, counts, total = pending
-        self._pending = None
+    def apply(self) -> None:
+        """Commit the move that ``propose`` scored last."""
+        c, idx, changed, new, rows, new_max, counts, total = self._pending
         self.indices[c] = idx
         self._preds[changed] = new
         self._row_max[rows] = new_max

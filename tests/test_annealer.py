@@ -185,10 +185,10 @@ class TestTabulation:
     @pytest.mark.parametrize("kind", [annealer._TableEvaluator, objective.IncrementalEvaluator])
     def test_both_evaluators_follow_one_protocol(self, kind):
         # Multiples of 1/8 times weights k/4 tie exactly, and the last label
-        # never occurs. The same seeded walk proposes then commits one move,
-        # proposes one and commits another, and commits without a proposal;
-        # every proposal is the reference total, every commit returns None
-        # and leaves ``indices`` on the committed selection, and an
+        # never occurs. The same seeded walk proposes then commits each move,
+        # and every third step first proposes another index for the same
+        # class; every proposal is the reference total, every commit returns
+        # None and leaves ``indices`` on the selection proposed last, and an
         # IncrementalEvaluator's cached predictions and maxima are a fresh
         # argmax's, ties where c has the higher index included.
         rng = np.random.default_rng(61)
@@ -201,12 +201,12 @@ class TestTabulation:
             evaluator = kind(ds, scale, cfg, WeightSelection(tuple(indices)))
             for step in range(300):
                 c, idx = int(rng.integers(n)), int(rng.integers(1, 5))
-                if step % 3 < 2:
-                    proposed = idx if step % 3 == 0 else int(rng.integers(1, 5))
+                proposals = [int(rng.integers(1, 5)), idx] if step % 3 == 1 else [idx]
+                for proposed in proposals:
                     moved = tuple(proposed if j == c else i for j, i in enumerate(indices))
                     want = reference_evaluation(ds, WeightSelection(moved), scale, cfg).total
                     assert evaluator.propose(c, proposed) == want
-                assert evaluator.apply(c, idx) is None
+                assert evaluator.apply() is None
                 indices[c] = idx
                 assert list(evaluator.indices) == indices
                 if kind is objective.IncrementalEvaluator:

@@ -245,6 +245,35 @@ class TestEvaluate:
         assert len(lines) == 1 and lines[0].startswith("error: line 1: ")
         assert message in lines[0]
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n\n', "line 1: blank line"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{not json\n',
+             "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n[1, 2]\n',
+             'line 1: expected object with "probs" and "label"'),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,"x"],"label":0}\n',
+             'line 1: "probs" must be a list of numbers'),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,0.5],"label":"1"}\n',
+             'line 1: "label" must be an integer'),
+            ("d.jsonl", '{"probs":[1.0],"label":0}\n', "line 0: need at least 2 classes, got 1"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.2,0.3,0.5],"label":0}\n',
+             "line 1: expected 2 probabilities, got 3"),
+            ("d.csv", "0.5,0.5,0\n\n", "line 1: blank line"),
+            ("d.csv", "0.5,0.5,0\nabc,0.5,0\n", "line 1: non-numeric probability 'abc'"),
+            ("d.csv", "1.0,0\n", "line 0: need at least 2 probability columns, got 1"),
+            ("d.csv", "0.5,0.5,0\n0.2,0.3,0.5,0\n", "line 1: expected 3 columns, got 4"),
+        ],
+    )
+    def test_malformed_line_is_one_exact_error_line(self, runner, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["evaluate", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("command", ["evaluate", "apply"])
     @pytest.mark.parametrize("mu", ["inf", "nan", "-inf"])
     def test_nonfinite_mu_rejected_before_the_dataset_is_read(
@@ -535,13 +564,17 @@ class TestOptimizeAndApply:
         ("--tmax", "inf", "temperatures must be finite"),
         ("--tmin", "1e-320",
          "t_min / t_max underflows to 0, so the number of temperature levels is not finite"),
+        ("--tmin", "200000", "t_min must be below t_max"),  # the default --tmax
+        ("--alpha", "2", "alpha must lie in (0, 1)"),
+        ("--lambda", "0", "lambda must be positive"),
         ("--lambda", "inf", "lambda must be finite"),
+        ("--max-accepted", "0", "max_accepted must be positive"),
         ("--tau", "nan", "beta, tau, and mu must be finite"),
         ("--beta", "inf", "beta, tau, and mu must be finite"),
         ("--mu", "inf", "beta, tau, and mu must be finite"),
         ("--mu", "nan", "beta, tau, and mu must be finite"),
     ])
-    def test_nonfinite_flag_rejected_before_any_work(
+    def test_invalid_flag_rejected_before_any_work(
         self, runner, tmp_path, command, flag, value, message
     ):
         # a schedule flag like these would otherwise fail partway through the

@@ -74,10 +74,14 @@ class TestProbabilityDataset:
         with pytest.raises(ValidationError) as bad_sum:
             ProbabilityDataset.from_arrays([[0.5, 0.5], [0.7, 0.7]], [0, 1])
         assert bad_sum.value.sample == 1
-        # a whole float beyond int64 is refused as the same integer is, not
-        # cast; in labels of the wrong shape the sample is the flat position
+        # a whole float or a uint64 beyond int64 is refused as the same
+        # integer is, not cast or wrapped negative; in labels of the wrong
+        # shape the sample is the flat position
         for labels in ([0, 1, 10**30], np.array([0.0, 1.0, 1e300]),
-                       [[0, 1, 10**30]], np.array([[0.0, 1.0, 1e300]])):
+                       [[0, 1, 10**30]], np.array([[0.0, 1.0, 1e300]]),
+                       np.array([0, 1, 2**63], dtype=np.uint64),
+                       np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+                       np.array([[0, 1, 2**63 + 1]], dtype=np.uint64)):
             with pytest.raises(ValidationError, match="^sample 2: label beyond the 64-bit "
                                "integer range$") as huge_label:
                 ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, labels)
@@ -90,7 +94,8 @@ class TestProbabilityDataset:
         assert bad.value.sample == 1
         with pytest.raises(ValidationError, match="sample 2: label nan is not an integer"):
             ProbabilityDataset.from_arrays(probs, np.array([0.0, 1.0, np.nan]))
-        for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.int32), np.uint8([0, 1, 1])):
+        for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.int32), np.uint8([0, 1, 1]),
+                       np.uint64([0, 1, 1])):
             assert ProbabilityDataset.from_arrays(probs, labels).labels.tolist() == [0, 1, 1]
 
     def test_renormalize_divides_by_row_sum(self):

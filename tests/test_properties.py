@@ -213,5 +213,5 @@ class TestIncrementalProperties:
             indices[c] = idx
             sel = WeightSelection(tuple(indices))
             assert state.propose(c, idx) == reference_evaluation(ds, sel, scale, cfg).total
-            state.apply(c, idx)
+            state.apply()
             assert (state._counts == confusion(ds, sel, scale)).all()
