@@ -8,15 +8,11 @@ best selection seen anywhere in the run is tracked separately and returned.
 The search starts from the all-ones coefficient vector (every class on the
 top scale point), i.e. from the uncorrected baseline predictions.
 
-Proposals are scored by ``IncrementalEvaluator``, or, when the schedule
-makes enough proposals that scoring the whole search space costs fewer row
-passes (``_tabulates``), by ``_TableEvaluator``'s lookups into
-``objective_table``'s totals. Both follow one protocol: built from
-(dataset, scale, config, selection); holds ``indices``; ``propose(c, k)``
-returns a float and is the only call that names a move; ``apply()`` commits
-the move scored last and returns None. ``indices`` is the chain's only copy
-of its selection, which only ``apply`` changes. Both give the same totals,
-so a seeded run gives the same result either way.
+Proposals are scored by the evaluator that ``objective._evaluator`` builds
+for the run's fewest proposals, P_min: the level count times the smaller of
+the proposal and acceptance limits. Its ``indices`` are the chain's only
+copy of its selection. Every kind gives the same totals, so a seeded run
+gives the same result whichever is chosen.
 The evaluator scores the start as well; the returned value is the one
 reference evaluation, and a run raises if its total is not the chain's best
 total, so the check covers the start too.
@@ -34,8 +30,7 @@ from .data import ObjectiveConfig, ProbabilityDataset, WeightScale, WeightSelect
 from .defaults import DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_T_MAX, DEFAULT_T_MIN
 from .errors import ValidationError
 from .metrics import confusion
-from .objective import (DEFAULT_BUDGET, IncrementalEvaluator, ObjectiveValue, objective_from_counts,
-                        objective_table)
+from .objective import ObjectiveValue, _evaluator, objective_from_counts
 
 
 @dataclass(frozen=True)
@@ -126,57 +121,6 @@ def _draw_move(rng: np.random.Generator, indices: np.ndarray, k_points: int) -> 
     return c, new_index
 
 
-class _TableEvaluator:
-    """The chain's evaluator over a whole ``objective_table``.
-
-    The current selection is a mixed-radix flat index into the table (digit
-    ``index - 1`` per class, the last class least significant), so a move
-    is a stride times the index change and a proposal's total is a lookup.
-    ``propose`` keeps the move and its flat index for ``apply()``.
-    """
-
-    def __init__(
-        self,
-        dataset: ProbabilityDataset,
-        scale: WeightScale,
-        config: ObjectiveConfig,
-        selection: WeightSelection,
-    ):
-        n, k = dataset.num_classes, scale.k_points
-        self._totals = objective_table(dataset, scale, config)
-        self._strides = [k ** (n - 1 - c) for c in range(n)]
-        self.indices = list(selection.indices)
-        self._flat = sum((i - 1) * s for i, s in zip(self.indices, self._strides))
-        self._pending = None
-
-    def propose(self, class_index: int, new_index: int) -> float:
-        flat = self._flat + (new_index - self.indices[class_index]) * self._strides[class_index]
-        self._pending = (class_index, new_index, flat)
-        return self._totals.item(flat)
-
-    def apply(self) -> None:
-        class_index, new_index, self._flat = self._pending
-        self.indices[class_index] = new_index
-
-
-def _tabulates(num_classes: int, k_points: int, schedule: AnnealSchedule) -> bool:
-    """Whether a run reads its values from ``objective_table`` instead of
-    scoring each proposal with ``IncrementalEvaluator``.
-
-    Both costs are counted in passes over the rows. The table makes N-1+K
-    per prefix of the first N-1 indices, K^(N-1) prefixes; a proposal makes
-    at least three (an up move's multiply, compare and ``flatnonzero``), and
-    a run makes at least P_min, the level count times the smaller of the
-    acceptance and proposal limits, all three from ``schedule.limits``. So
-    the table is built when K^(N-1) * (N-1+K) <= 3 * P_min and the space
-    fits the table's budget.
-    """
-    n, k = num_classes, k_points
-    levels, proposals, acceptances = schedule.limits(n, k)
-    fewest = levels * min(acceptances, proposals)
-    return k**n <= DEFAULT_BUDGET and k ** (n - 1) * (n - 1 + k) <= 3 * fewest
-
-
 def predicted_complexity(num_classes: int, k_points: int, schedule: AnnealSchedule) -> int:
     """Upper bound on the number of proposals a run can generate:
 
@@ -205,12 +149,10 @@ def anneal(
     n = dataset.num_classes
     k = scale.k_points
     levels, proposal_limit, accept_limit = schedule.limits(n, k)
-    init = WeightSelection.identity(n, scale)
-    evaluator_type = _TableEvaluator if _tabulates(n, k, schedule) else IncrementalEvaluator
-    evaluator = evaluator_type(dataset, scale, config, init)
+    evaluator = _evaluator(dataset, scale, config, levels * min(proposal_limit, accept_limit))
     current = best = evaluator.propose(0, k)  # class 0 to the index it holds: the start's total
     evaluations = 1
-    best_selection = init
+    best_selection = WeightSelection.identity(n, scale)
     rng = np.random.default_rng(schedule.seed)
     records = []
 

@@ -27,12 +27,13 @@ from .errors import ValidationError
 
 
 def _bind_numeric_names() -> None:
-    """Import numpy and the numeric modules, and bind the names used from them
+    """Import numpy, orjson and the numeric modules, and bind the names used from them
     here, where callers look them up (a tracer wraps ``cli.load_dataset``, a
     test patches ``cli.anneal``). It runs as a command starts and on the first
     lookup of a name not yet bound, so ``--version``, ``--help`` and usage
     errors load none of them; a name bound before it runs is kept."""
     import numpy as np
+    import orjson
 
     from .annealer import AnnealSchedule, anneal, predicted_complexity
     from .baselines import compare_methods
@@ -449,8 +450,6 @@ def sweep(optimization_path, test_path, sizes, seeds, fmt, renormalize, json_pat
 def density(dataset_path, artifact_path, out_path, raw, fmt, renormalize):
     """Export each sample's (optionally reweighted) ground-truth-class
     probability as plot-ready long-format rows."""
-    import orjson  # here, not at module import: `cobias --version` need not pay for it
-
     dataset, artifact = _load_with_artifact(dataset_path, artifact_path, fmt, renormalize)
     scores = dataset.probs if artifact is None else dataset.probs * artifact.coefficients
     values = np.take_along_axis(scores, dataset.labels[:, None], axis=1)[:, 0]

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .defaults import DATASET_FORMATS, DEFAULT_BETA, DEFAULT_MU, DEFAULT_TAU, TERM_COMBINATIONS
 from .errors import ArtifactError, DatasetFormatError, ValidationError
@@ -444,8 +445,6 @@ def _jsonl_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     fails them. A line orjson refuses and json reads (NaN, Infinity, numbers
     beyond the double range) or an integer label beyond 64 bits, which orjson
     reads as a float, thus sends the file to ``_parse_jsonl_lines``."""
-    import orjson  # here, not at module import: `cobias --version` need not pay for it
-
     probs, labels = [], []
     try:
         for obj in map(orjson.loads, lines):  # keeps two fields, never the parsed dicts
@@ -553,8 +552,6 @@ def _csv_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     bad line, or reads quoted fields and the number forms JSON lacks (``.5``,
     ``+1``, ``1.``, ``inf``, ``1_0``, non-ASCII digits).
     """
-    import orjson  # here, not at module import: `cobias --version` need not pay for it
-
     text = "\n".join(lines)
     if any(c in text for c in '[]{}"lu'):
         return None

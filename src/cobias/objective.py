@@ -19,11 +19,18 @@ a stack of them with the same float operations, and its arithmetic is the
 metrics module's. Two evaluators build on it and agree bit for bit with the
 reference ``objective_from_counts(confusion(...), config)``:
 ``objective_table`` scores all K^N selections by a threshold sweep (the
-oracle's search, and the annealer's when that is cheaper than its chain),
-and ``IncrementalEvaluator`` scores one move at a time: ``propose`` returns
-a move's total, ``apply()`` commits the move proposed last. Both predict
-through ``_argmax``, so neither checks the other's tie rule: the independent
-check of each is the reference, whose ``confusion`` runs ``np.argmax``.
+oracle's search), and ``IncrementalEvaluator`` scores one move at a time.
+Both predict through ``_argmax``, so neither checks the other's tie rule:
+the independent check of each is the reference, whose ``confusion`` runs
+``np.argmax``.
+
+The annealer's chain gets its evaluator from ``_evaluator``: a
+``_TableEvaluator``, which looks proposals up in ``objective_table``, when
+``_tabulates`` finds that cheaper, else an ``IncrementalEvaluator``. Both
+are built from (dataset, scale, config, selection) and hold ``indices``;
+``propose(c, k)`` returns a float and is the only call that names a move;
+``apply()`` commits the move scored last, returns None, and alone changes
+``indices``.
 """
 
 from __future__ import annotations
@@ -201,6 +208,39 @@ def objective_table(
     return totals
 
 
+class _TableEvaluator:
+    """The chain's evaluator over a whole ``objective_table``.
+
+    The current selection is a mixed-radix flat index into the table (digit
+    ``index - 1`` per class, the last class least significant), so a move
+    is a stride times the index change and a proposal's total is a lookup.
+    ``propose`` keeps the move and its flat index for ``apply()``.
+    """
+
+    def __init__(
+        self,
+        dataset: ProbabilityDataset,
+        scale: WeightScale,
+        config: ObjectiveConfig,
+        selection: WeightSelection,
+    ):
+        n, k = dataset.num_classes, scale.k_points
+        self._totals = objective_table(dataset, scale, config)
+        self._strides = [k ** (n - 1 - c) for c in range(n)]
+        self.indices = list(selection.indices)
+        self._flat = sum((i - 1) * s for i, s in zip(self.indices, self._strides))
+        self._pending = None
+
+    def propose(self, class_index: int, new_index: int) -> float:
+        flat = self._flat + (new_index - self.indices[class_index]) * self._strides[class_index]
+        self._pending = (class_index, new_index, flat)
+        return self._totals.item(flat)
+
+    def apply(self) -> None:
+        class_index, new_index, self._flat = self._pending
+        self.indices[class_index] = new_index
+
+
 class IncrementalEvaluator:
     """Cached evaluation state for single-class weight changes.
 
@@ -227,11 +267,9 @@ class IncrementalEvaluator:
     true-class totals, so its per-dataset constants are computed, and its
     warnings issued, once per evaluator rather than once per proposal.
 
-    A single solver run owns the cache. It follows the annealer's evaluator
-    protocol: built from (dataset, scale, config, selection); holds
-    ``indices``; ``propose`` returns a float; ``apply`` returns None.
+    A single solver run owns the cache, under the evaluator protocol above:
     ``propose`` changes nothing and keeps the rows it found, and ``apply()``
-    commits them: the move proposed last.
+    commits them.
     """
 
     def __init__(
@@ -290,3 +328,22 @@ class IncrementalEvaluator:
         self._counts = counts
         self._total = total
 
+
+def _tabulates(num_classes: int, k_points: int, fewest_proposals: int) -> bool:
+    """Whether a chain of at least ``fewest_proposals`` (P_min) proposals
+    costs more row passes than ``objective_table``. The table makes N-1+K per
+    prefix of the first N-1 indices, K^(N-1) prefixes; a proposal makes at
+    least three (an up move's multiply, compare and ``flatnonzero``). So the
+    table is built when K^(N-1) * (N-1+K) <= 3 * P_min and the space fits
+    the table's budget."""
+    n, k = num_classes, k_points
+    return k**n <= DEFAULT_BUDGET and k ** (n - 1) * (n - 1 + k) <= 3 * fewest_proposals
+
+
+def _evaluator(dataset: ProbabilityDataset, scale: WeightScale, config: ObjectiveConfig,
+               fewest_proposals: int) -> _TableEvaluator | IncrementalEvaluator:
+    """The cheaper evaluator for a chain of at least ``fewest_proposals``
+    proposals (``_tabulates``), built at the identity selection."""
+    n = dataset.num_classes
+    kind = _TableEvaluator if _tabulates(n, scale.k_points, fewest_proposals) else IncrementalEvaluator
+    return kind(dataset, scale, config, WeightSelection.identity(n, scale))

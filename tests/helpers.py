@@ -83,6 +83,13 @@ def random_dataset(rng: np.random.Generator, m: int, n: int) -> ProbabilityDatas
     return ProbabilityDataset.from_arrays(probs, labels)
 
 
+def fewest_proposals(num_classes: int, k_points: int, schedule) -> int:
+    """P_min, the fewest proposals an ``anneal`` with this schedule makes:
+    the level count times the smaller of its proposal and acceptance limits."""
+    levels, proposals, acceptances = schedule.limits(num_classes, k_points)
+    return levels * min(proposals, acceptances)
+
+
 def reference_evaluation(dataset, selection, scale, config):
     """The objective of one selection by the full reference path: the
     reweighted argmax's confusion counts, then ``objective_from_counts``.

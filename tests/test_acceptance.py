@@ -27,7 +27,7 @@ from cobias import (
     predicted_complexity,
     save_dataset,
 )
-from cobias import annealer
+from cobias import objective
 from cobias.cli import main as cli_main
 from cobias.defaults import TERM_COMBINATIONS
 
@@ -35,6 +35,7 @@ from helpers import (
     REFERENCE_COUNTS,
     biased_synthetic_pair,
     dataset_from_confusion,
+    fewest_proposals,
     random_dataset,
 )
 
@@ -99,9 +100,9 @@ def test_criterion_2_oracle_equivalence(monkeypatch):
         schedule = AnnealSchedule(seed=run_seed)
         annealed = anneal(ds, scale, config, schedule)
         if run_seed < 20:
-            assert annealer._tabulates(n, k, schedule)
+            assert objective._tabulates(n, k, fewest_proposals(n, k, schedule))
             with monkeypatch.context() as patch:
-                patch.setattr(annealer, "_tabulates", lambda *args: False)
+                patch.setattr(objective, "_tabulates", lambda *args: False)
                 chain = anneal(ds, scale, config, schedule)
             assert (chain.selection, chain.value, chain.records,
                     chain.total_evaluations) == (

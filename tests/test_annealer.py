@@ -15,10 +15,11 @@ from cobias import (
     predicted_complexity,
 )
 from cobias import annealer, objective
-from cobias.annealer import _draw_move, _tabulates
+from cobias.annealer import _draw_move
 from cobias.defaults import TERM_COMBINATIONS
+from cobias.objective import IncrementalEvaluator, _TableEvaluator, _evaluator, _tabulates
 
-from helpers import random_dataset, reference_evaluation
+from helpers import fewest_proposals, random_dataset, reference_evaluation
 
 
 class TestSchedule:
@@ -150,12 +151,24 @@ class TestTabulation:
     def test_rule_pins_the_benchmark_shapes(self):
         # K^(N-1) * (N-1+K) row passes for the table against three per
         # proposal over the fewest proposals the schedule makes
-        assert _tabulates(4, 10, AnnealSchedule())  # search-small: 13,000 <= 16,980
-        assert _tabulates(3, 30, AnnealSchedule())  # 28,800 <= 38,205
-        assert not _tabulates(10, 30, AnnealSchedule(alpha=0.8))  # fit-tall
-        assert not _tabulates(4, 30, AnnealSchedule())
-        assert not _tabulates(8, 3, AnnealSchedule())  # 21,870 > 10,188
-        assert not _tabulates(4, 10, AnnealSchedule(alpha=0.748))  # 13,000 > 3,000
+        def tabulates(n, k, schedule):
+            return _tabulates(n, k, fewest_proposals(n, k, schedule))
+
+        assert tabulates(4, 10, AnnealSchedule())  # search-small: 13,000 <= 16,980
+        assert tabulates(3, 30, AnnealSchedule())  # 28,800 <= 38,205
+        assert not tabulates(10, 30, AnnealSchedule(alpha=0.8))  # fit-tall
+        assert not tabulates(4, 30, AnnealSchedule())
+        assert not tabulates(8, 3, AnnealSchedule())  # 21,870 > 10,188
+        assert not tabulates(4, 10, AnnealSchedule(alpha=0.748))  # 13,000 > 3,000
+
+    def test_the_chooser_builds_the_cheaper_evaluator_at_the_identity(self):
+        rng = np.random.default_rng(62)
+        for n, k, schedule, kind in [(4, 10, AnnealSchedule(), _TableEvaluator),  # search-small
+                                     (10, 30, AnnealSchedule(alpha=0.8), IncrementalEvaluator)]:  # fit-tall
+            ds = random_dataset(rng, 200, n)
+            evaluator = _evaluator(ds, WeightScale(k), ObjectiveConfig(), fewest_proposals(n, k, schedule))
+            assert type(evaluator) is kind
+            assert list(evaluator.indices) == [k] * n
 
     @pytest.mark.parametrize("terms", sorted(TERM_COMBINATIONS))
     def test_table_and_incremental_chains_agree(self, terms, monkeypatch):
@@ -170,19 +183,19 @@ class TestTabulation:
             probs = rng.multinomial(8, np.full(n, 1 / n), size=60) / 8
             labels = rng.integers(n, size=60) if k == 3 else rng.integers(n - 1, size=60)
             ds = ProbabilityDataset.from_arrays(probs, labels)
-            assert _tabulates(n, k, schedule)
+            assert _tabulates(n, k, fewest_proposals(n, k, schedule))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 table = anneal(ds, WeightScale(k), cfg, schedule)
                 with monkeypatch.context() as patch:
-                    patch.setattr(annealer, "_tabulates", lambda *args: False)
+                    patch.setattr(objective, "_tabulates", lambda *args: False)
                     chain = anneal(ds, WeightScale(k), cfg, schedule)
             assert table.selection == chain.selection
             assert table.value == chain.value
             assert table.records == chain.records
             assert table.total_evaluations == chain.total_evaluations
 
-    @pytest.mark.parametrize("kind", [annealer._TableEvaluator, objective.IncrementalEvaluator])
+    @pytest.mark.parametrize("kind", [_TableEvaluator, IncrementalEvaluator])
     def test_both_evaluators_follow_one_protocol(self, kind):
         # Multiples of 1/8 times weights k/4 tie exactly, and the last label
         # never occurs. The same seeded walk proposes then commits each move,
@@ -209,7 +222,7 @@ class TestTabulation:
                 assert evaluator.apply() is None
                 indices[c] = idx
                 assert list(evaluator.indices) == indices
-                if kind is objective.IncrementalEvaluator:
+                if kind is IncrementalEvaluator:
                     preds, row_max = objective._argmax(evaluator._probs_t, np.array(indices) / 4)
                     assert np.array_equal(evaluator._preds, preds)
                     assert np.array_equal(evaluator._row_max, row_max)
@@ -275,7 +288,7 @@ class TestAnneal:
         cfg, schedule = ObjectiveConfig(), AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
         for k, tabulates in [(4, True), (30, False)]:
             ds, scale = self._instance(seed=13, k=k)
-            assert _tabulates(ds.num_classes, k, schedule) == tabulates
+            assert _tabulates(ds.num_classes, k, fewest_proposals(ds.num_classes, k, schedule)) == tabulates
             result = anneal(ds, scale, cfg, schedule)
             assert result.value == reference_evaluation(ds, result.selection, scale, cfg)
 
@@ -285,8 +298,8 @@ class TestAnneal:
         # best selection, so a fast path one ulp low makes the run raise
         ds, scale = self._instance(seed=13, k=k)
         schedule = AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
-        assert _tabulates(ds.num_classes, k, schedule) == tabulates
-        evaluator = annealer._TableEvaluator if tabulates else annealer.IncrementalEvaluator
+        assert _tabulates(ds.num_classes, k, fewest_proposals(ds.num_classes, k, schedule)) == tabulates
+        evaluator = _TableEvaluator if tabulates else IncrementalEvaluator
         propose = evaluator.propose
         monkeypatch.setattr(evaluator, "propose",
                             lambda *args: np.nextafter(propose(*args), -np.inf))
@@ -298,15 +311,15 @@ class TestAnneal:
         # the evaluator scores the start, so a table whose no-op moves read
         # 1e6 low makes the end-of-run reference check raise: on a one-point
         # scale, and on a tabulated K=4 run, whose chain never proposes a no-op
-        propose = annealer._TableEvaluator.propose
+        propose = _TableEvaluator.propose
 
         def low_start(self, c, new_index):
             return propose(self, c, new_index) - (1e6 if new_index == self.indices[c] else 0.0)
 
-        monkeypatch.setattr(annealer._TableEvaluator, "propose", low_start)
+        monkeypatch.setattr(_TableEvaluator, "propose", low_start)
         ds, scale = self._instance(seed=13, k=k)
         schedule = AnnealSchedule(t_max=10.0, alpha=0.7, seed=2)
-        assert _tabulates(ds.num_classes, k, schedule)
+        assert _tabulates(ds.num_classes, k, fewest_proposals(ds.num_classes, k, schedule))
         with pytest.raises(AssertionError, match="differs from the reference evaluation"):
             anneal(ds, scale, ObjectiveConfig(), schedule)
 

@@ -264,6 +264,20 @@ class TestEvaluate:
             ("d.csv", "0.5,0.5,0\nabc,0.5,0\n", "line 1: non-numeric probability 'abc'"),
             ("d.csv", "1.0,0\n", "line 0: need at least 2 probability columns, got 1"),
             ("d.csv", "0.5,0.5,0\n0.2,0.3,0.5,0\n", "line 1: expected 3 columns, got 4"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[NaN,0.5],"label":0}\n',
+             "line 1: non-finite probability in sample 1"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[-0.5,1.5],"label":0}\n',
+             "line 1: negative probability in sample 1"),
+            ("d.csv", "0.5,0.5,0\n-0.5,1.5,0\n", "line 1: negative probability in sample 1"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.6,0.5],"label":0}\n',
+             "line 1: sample 1: probabilities sum to 1.10000000, expected 1 within 1e-06 "
+             "(pass renormalize=True to rescale rows)"),
+            ("d.jsonl", '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,0.5],"label":2}\n',
+             "line 1: sample 1: label 2 outside [0, 1]"),
+            ("d.csv", "0.5,0.5,0\n0.5,0.5,3\n", "line 1: sample 1: label 3 outside [0, 1]"),
+            ("d.jsonl",
+             '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,0.5],"label":9223372036854775813}\n',
+             "line 1: sample 1: label beyond the 64-bit integer range"),
         ],
     )
     def test_malformed_line_is_one_exact_error_line(self, runner, tmp_path, name, text, message):
@@ -273,6 +287,20 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == [f"error: {message}"]
+
+    def test_zero_sum_row_and_empty_file_are_one_exact_error_line(self, runner, tmp_path):
+        # a zero row is refused only once --renormalize would divide by its sum
+        zero, empty = tmp_path / "zero.jsonl", tmp_path / "empty.jsonl"
+        zero.write_text('{"probs":[0.5,0.5],"label":0}\n{"probs":[0,0],"label":0}\n')
+        empty.write_text("")
+        for args, message in [
+            (["--renormalize", str(zero)], "line 1: zero-sum probability row in sample 1"),
+            ([str(empty)], f"no samples found in {empty}"),
+        ]:
+            result = runner.invoke(main, ["evaluate", *args])
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("command", ["evaluate", "apply"])
     @pytest.mark.parametrize("mu", ["inf", "nan", "-inf"])
@@ -777,7 +805,10 @@ class TestOptimizeAndApply:
         ("provenance", {"seed": 0, "schedule": {}, "dataset_fingerprint": ""},
          "artifact schema violation: dataset fingerprint absent"),
         ("final_objective", float("nan"), "artifact schema violation: non-finite final objective"),
-    ], ids=["kind", "empty-fingerprint", "nan-objective"])
+        ("coefficients", [1.0, 0.5, 1.0], "artifact schema violation: stored coefficients do not "
+         "match the scale values selected by the stored indices"),
+        ("indices", [3, 4, 3], "class 1: index 4 outside [1, 3]"),
+    ], ids=["kind", "empty-fingerprint", "nan-objective", "coefficients", "index-range"])
     def test_artifact_schema_violation_is_one_error_line(
         self, runner, small_sets, tmp_path, field, value, message
     ):
