@@ -78,19 +78,16 @@ class ProbabilityDataset:
         if n < 2:
             raise ValidationError(f"dataset must have at least 2 classes, got {n}")
         try:
-            if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "biu"):
-                # int64 conversion would truncate 0.7 to 0 and wrap a whole float
-                # beyond int64; integer arrays skip this pass
+            if not (isinstance(labels, np.ndarray) and np.can_cast(labels.dtype, np.int64)):
+                # int64 conversion would truncate 0.7 to 0 and wrap a float or
+                # uint64 beyond int64; as Python numbers it is exact or overflows
                 floats = np.asarray(labels, dtype=np.float64)
                 fractional = np.flatnonzero(~np.isfinite(floats) | (floats != np.trunc(floats)))
                 if fractional.size:
                     bad = int(fractional[0])
                     raise ValidationError(f"sample {bad}: label {float(floats.flat[bad])!r} "
                                           "is not an integer", sample=bad)
-                if not np.all((floats >= -(2.0**63)) & (floats < 2.0**63)):
-                    raise OverflowError
-            elif labels.dtype == np.uint64 and np.any(labels >= 2**63):
-                raise OverflowError  # int64 conversion would wrap it negative
+                labels = np.asarray(labels, dtype=object)
             labels = np.array(labels, dtype=np.int64, copy=True)
         except OverflowError:
             # only numbers beyond int64 overflow; this scan runs on the error path alone
@@ -422,21 +419,19 @@ def _parse_chunked(text: str, parse_block, parse_lines):
     """Parse ``text`` one chunk of lines at a time into float64/int64 blocks.
 
     ``parse_block`` returns a chunk's (probs, labels) arrays, or None when
-    its checks cannot vouch for every line. Then, or when the width changes
-    between chunks, ``parse_lines`` parses the file from line 0 and names the
-    first bad line. Text longer than two chunks is parsed by two processes,
-    split right after the first "\\n" at or past its midpoint; a forked child
-    reads the text without a copy.
+    its checks cannot vouch for every line. Then, when the width changes
+    between chunks, or for an empty text (no chunk), ``parse_lines`` parses
+    the file from line 0 and names the first bad line. Text longer than two
+    chunks is parsed by two processes, split right after the first "\\n" at
+    or past its midpoint; a forked child reads the text without a copy.
     """
     mid = text.find("\n", len(text) // 2) + 1 or len(text)
     first, second = _in_two(lambda: _parse_blocks(text, parse_block, 0, mid),
                             lambda: _parse_blocks(text, parse_block, mid, len(text)),
                             fork=len(text) > 2 * _CHUNK_CHARS)
     blocks = None if second is None else first + second
-    if blocks is None or len({probs.shape[1] for probs, _ in blocks}) > 1:
+    if not blocks or len({probs.shape[1] for probs, _ in blocks}) > 1:
         return parse_lines(text.splitlines())
-    if not blocks:  # an empty file
-        return [], []
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 

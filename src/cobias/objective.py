@@ -257,15 +257,15 @@ class IncrementalEvaluator:
       tie rule). No argmax is run.
     * weight down: only rows predicting c can change; those rows alone are
       re-argmaxed, reducing ``probs_t[j, rows] * w[j]`` one class at a time.
-      A no-op move takes this path and reproduces the cached rows.
+      A no-op move takes this path, flips no row and moves no count.
 
     Every score is the same product ``p[i, j] * w[j]``, with
     ``w[j] = index_j / k_points``, that a full evaluation computes, and the
     confusion counts move by a bincount difference over the rows whose
     prediction changed, so results are bit-identical to a full evaluation.
-    The counts are scored by an ``_Objective`` built once from the dataset's
-    true-class totals, so its per-dataset constants are computed, and its
-    warnings issued, once per evaluator rather than once per proposal.
+    Each proposal, a no-op one too, scores its counts with an ``_Objective``
+    built once from the dataset's true-class totals; no total is cached, and
+    its constants are computed, and its warnings issued, once per evaluator.
 
     A single solver run owns the cache, under the evaluator protocol above:
     ``propose`` changes nothing and keeps the rows it found, and ``apply()``
@@ -287,7 +287,6 @@ class IncrementalEvaluator:
         self._preds, self._row_max = _argmax(self._probs_t, self.indices / self._k)
         self._counts = counts_from_predictions(dataset.labels, self._preds, n)
         self._objective = _Objective(self._counts.sum(axis=1), config)
-        self._total = self._objective(self._counts).total
         self._pending = None
 
     def propose(self, class_index: int, new_index: int) -> float:
@@ -308,25 +307,20 @@ class IncrementalEvaluator:
             new_preds, new_max = _argmax(np.take(self._probs_t, rows, axis=1), weights)
             flip = new_preds != c
             changed, old, new = rows[flip], c, new_preds[flip]
-        if changed.size:
-            nn = self._counts.size
-            base = self._label_base[changed]
-            delta = np.bincount(base + new, minlength=nn) - np.bincount(base + old, minlength=nn)
-            counts = self._counts + delta.reshape(self._counts.shape)
-            total = self._objective(counts).total
-        else:
-            counts, total = self._counts, self._total
-        self._pending = (c, new_index, changed, new, rows, new_max, counts, total)
-        return total
+        nn = self._counts.size
+        base = self._label_base[changed]
+        delta = np.bincount(base + new, minlength=nn) - np.bincount(base + old, minlength=nn)
+        counts = self._counts + delta.reshape(self._counts.shape)
+        self._pending = (c, new_index, changed, new, rows, new_max, counts)
+        return self._objective(counts).total
 
     def apply(self) -> None:
         """Commit the move that ``propose`` scored last."""
-        c, idx, changed, new, rows, new_max, counts, total = self._pending
+        c, idx, changed, new, rows, new_max, counts = self._pending
         self.indices[c] = idx
         self._preds[changed] = new
         self._row_max[rows] = new_max
         self._counts = counts
-        self._total = total
 
 
 def _tabulates(num_classes: int, k_points: int, fewest_proposals: int) -> bool:

@@ -194,6 +194,21 @@ class TestEvaluate:
         assert result.exit_code == 0
         assert "cobias: 0.0000" in result.output
 
+    @pytest.mark.parametrize("row, plain", [('"0.6",0.4,0', "0.6,0.4,0"), ("1,-0,0", "1,0,0")],
+                             ids=["quoted-field", "integer-minus-zero"])
+    def test_csv_rows_the_bulk_parser_hands_off_read_as_plain(self, runner, tmp_path, row,
+                                                              plain):
+        # the bulk CSV parser leaves a quoted field and an integer -0 to the
+        # line parser, which reads them as the plain row
+        reports = []
+        for name, first in [("handed.csv", row), ("plain.csv", plain)]:
+            path, out = tmp_path / name, tmp_path / f"{name}.json"
+            path.write_text(f"{first}\n0.3,0.7,1\n")
+            result = runner.invoke(main, ["evaluate", str(path), "--json", str(out)])
+            assert (result.exit_code, result.stderr) == (0, "")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_missing_file_exits_2_with_no_output(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", str(tmp_path / "nope.jsonl")])
         assert result.exit_code == 2
@@ -278,6 +293,15 @@ class TestEvaluate:
             ("d.jsonl",
              '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,0.5],"label":9223372036854775813}\n',
              "line 1: sample 1: label beyond the 64-bit integer range"),
+            # the bulk parser refuses these files, so their labels reach
+            # from_arrays as Python ints, and 2**63 - 1 fits int64
+            ("d.jsonl",
+             '{"probs":[NaN,1],"label":0}\n{"probs":[0.5,0.5],"label":9223372036854775807}\n',
+             "line 0: non-finite probability in sample 0"),
+            ("d.jsonl",
+             '{"probs":[0.5,0.5],"label":0}\n{"probs":[0.5,0.5],"label":9223372036854775807}\n'
+             '{"probs":[1e999,0.5],"label":0}\n',
+             "line 2: non-finite probability in sample 2"),
         ],
     )
     def test_malformed_line_is_one_exact_error_line(self, runner, tmp_path, name, text, message):
@@ -394,6 +418,18 @@ class TestPmiRefusal:
         assert "can overflow the objective on this dataset, where |z3| may reach" in line
         assert anneals == [] and not out.exists()
 
+    def test_mu_zero_with_a_class_never_predicted_is_one_error_line(self, runner, tmp_path):
+        # evaluate scores the counts it has, so mu=0 is refused only once a
+        # class's PMI ratio divides zero by zero; no row predicts class 1 here
+        data = _write_dataset(tmp_path, ProbabilityDataset.from_arrays(
+            [[0.9, 0.1], [0.8, 0.2]], [0, 1]))
+        result = runner.invoke(main, ["evaluate", data, "--mu", "0"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: class 1: zero count with mu=0 makes the PMI ratio undefined"
+        ]
+
     def test_tiny_mu_reports_a_class_that_is_predicted(self, runner, tmp_path):
         # the same rows with class 2 predicted once: every PMI is finite, so
         # evaluate runs, while a search may reach counts without that prediction
@@ -506,20 +542,25 @@ class TestOptimizeAndApply:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "has an invalid number" in lines[0]
 
-    @pytest.mark.parametrize("kind, message", [
-        ("dataset", "error: line 1: invalid JSON (nested too deeply)"),
-        ("artifact", "error: artifact file is not valid JSON: nested too deeply"),
-        ("spec", "error: spec file is not valid JSON: nested too deeply"),
-    ])
+    @pytest.mark.parametrize("kind, text, message", [
+        ("dataset", None, "error: line 1: invalid JSON (nested too deeply)"),
+        ("artifact", None, "error: artifact file is not valid JSON: nested too deeply"),
+        ("spec", None, "error: spec file is not valid JSON: nested too deeply"),
+        ("artifact", "{", "error: artifact file is not valid JSON: "
+         "Expecting property name enclosed in double quotes"),
+        ("spec", "{", "error: spec file is not valid JSON: "
+         "Expecting property name enclosed in double quotes"),
+    ], ids=["dataset", "artifact", "spec", "artifact-unclosed", "spec-unclosed"])
     def test_deeply_nested_json_is_one_error_line(self, runner, small_sets, tmp_path, kind,
-                                                  message):
-        # json raises RecursionError past the interpreter's recursion limit
+                                                  text, message):
+        # json raises RecursionError past the interpreter's recursion limit,
+        # and JSONDecodeError for an unclosed object (text "{")
         opt, _ = small_sets
         deep = "[" * 100_000
         dataset, doc = tmp_path / "deep.jsonl", tmp_path / "deep.json"
         dataset.write_text('{"probs":[0.5,0.5],"label":0}\n'
                            '{"probs":%s%s,"label":0}\n' % (deep, "]" * len(deep)))
-        doc.write_text(deep)
+        doc.write_text(deep if text is None else text)
         args = {"dataset": ["evaluate", str(dataset)],
                 "artifact": ["apply", opt, str(doc)],
                 "spec": ["generate", "--spec", str(doc), "--out", str(tmp_path / "g.jsonl")]}[kind]
@@ -808,7 +849,10 @@ class TestOptimizeAndApply:
         ("coefficients", [1.0, 0.5, 1.0], "artifact schema violation: stored coefficients do not "
          "match the scale values selected by the stored indices"),
         ("indices", [3, 4, 3], "class 1: index 4 outside [1, 3]"),
-    ], ids=["kind", "empty-fingerprint", "nan-objective", "coefficients", "index-range"])
+        ("objective_config", {**ObjectiveConfig().to_dict(), "use_z1": 1},
+         "artifact schema violation: ValidationError('use_z1 must be a JSON boolean, got 1')"),
+    ], ids=["kind", "empty-fingerprint", "nan-objective", "coefficients", "index-range",
+            "integer-flag"])
     def test_artifact_schema_violation_is_one_error_line(
         self, runner, small_sets, tmp_path, field, value, message
     ):
@@ -1161,6 +1205,23 @@ class TestGenerateAndCompare:
         check = runner.invoke(main, ["evaluate", str(out)])
         assert check.exit_code == 0
         assert "samples: 18" in check.output
+
+    def test_generate_one_point_support_writes_that_point(self, runner, tmp_path):
+        # a confusion_bias row with one nonzero entry has no Dirichlet to draw
+        spec = {
+            "num_classes": 2,
+            "samples_per_class": [3, 4],
+            "confusion_bias": [[1.0, 0.0], [0.3, 0.7]],
+            "concentration": 5.0,
+            "seed": 9,
+        }
+        spec_path, out = tmp_path / "spec.json", tmp_path / "g.jsonl"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["generate", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["probs"] for row in rows if row["label"] == 0] == [[1.0, 0.0]] * 3
+        assert len(rows) == 7
 
     def test_generate_deterministic(self, runner, tmp_path):
         spec = {

@@ -87,6 +87,15 @@ class TestProbabilityDataset:
                 ProbabilityDataset.from_arrays([[0.5, 0.5]] * 3, labels)
             assert huge_label.value.sample == 2
 
+    @pytest.mark.parametrize("labels", [[0, 2**63 - 1], np.array([0, 2**63 - 1], dtype=object)],
+                             ids=["list", "object-array"])
+    def test_int64_max_label_is_out_of_range_not_beyond_int64(self, labels):
+        # as a float, 2**63 - 1 rounds up to 2**63; as an integer it fits int64
+        with pytest.raises(ValidationError) as refused:
+            ProbabilityDataset.from_arrays([[0.5, 0.5]] * 2, labels)
+        assert str(refused.value) == "sample 1: label 9223372036854775807 outside [0, 1]"
+        assert refused.value.sample == 1
+
     def test_fractional_labels_are_refused_not_truncated(self):
         probs = [[0.5, 0.5]] * 3
         with pytest.raises(ValidationError, match="sample 1: label 0.7 is not an integer") as bad:
@@ -95,7 +104,7 @@ class TestProbabilityDataset:
         with pytest.raises(ValidationError, match="sample 2: label nan is not an integer"):
             ProbabilityDataset.from_arrays(probs, np.array([0.0, 1.0, np.nan]))
         for labels in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.int32), np.uint8([0, 1, 1]),
-                       np.uint64([0, 1, 1])):
+                       np.uint32([0, 1, 1]), np.uint64([0, 1, 1])):
             assert ProbabilityDataset.from_arrays(probs, labels).labels.tolist() == [0, 1, 1]
 
     def test_renormalize_divides_by_row_sum(self):
